@@ -11,6 +11,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "fleet/testbed.hpp"
 
 using namespace shog;
 
@@ -22,11 +23,12 @@ int main(int argc, char** argv) {
 
     std::cout << "=== Design-choice ablations (UA-DETRAC-like, " << duration << " s) ===\n\n";
 
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, duration);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
     Text_table table{{"Variant", "mAP (%)", "Up Kbps", "Sessions", "Avg IoU"}};
 
     auto run = [&](const char* name, core::Shoggoth_config cfg) {
-        const sim::Run_result r = benchutil::run_shoggoth(tb, std::move(cfg));
+        const sim::Run_result r = fleet::run_shoggoth(tb, harness, std::move(cfg));
         std::cout << "  " << name << ": mAP=" << r.map * 100.0 << "% up=" << r.up_kbps
                   << " sessions=" << r.training_sessions << "\n";
         table.add_row({name, Text_table::num(r.map * 100.0, 1), Text_table::num(r.up_kbps, 0),

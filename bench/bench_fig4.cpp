@@ -10,6 +10,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "fleet/testbed.hpp"
 
 using namespace shog;
 
@@ -22,18 +23,21 @@ int main(int argc, char** argv) {
     std::cout << "=== Figure 4: inference fps under each strategy (UA-DETRAC-like) ===\n"
               << "(duration " << duration << " s, seed " << seed << ")\n\n";
 
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, duration);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
 
     Text_table table{{"Strategy", "Average FPS"}};
-    const sim::Run_result edge = benchutil::run_edge_only(tb);
+    const sim::Run_result edge = fleet::run_edge_only(tb, harness);
     table.add_row({"Edge-Only", Text_table::num(edge.average_fps, 1)});
-    const sim::Run_result cloud = benchutil::run_cloud_only(tb);
+    const sim::Run_result cloud = fleet::run_cloud_only(tb, harness);
     table.add_row({"Cloud-Only", Text_table::num(cloud.average_fps, 1)});
-    const sim::Run_result prompt = benchutil::run_prompt(tb);
+    core::Shoggoth_config prompt_config;
+    prompt_config.adaptive_sampling = false;
+    const sim::Run_result prompt = fleet::run_shoggoth(tb, harness, prompt_config);
     table.add_row({"Prompt", Text_table::num(prompt.average_fps, 1)});
-    const sim::Run_result ams = benchutil::run_ams(tb);
+    const sim::Run_result ams = fleet::run_ams(tb, harness);
     table.add_row({"AMS", Text_table::num(ams.average_fps, 1)});
-    const sim::Run_result shoggoth = benchutil::run_shoggoth(tb);
+    const sim::Run_result shoggoth = fleet::run_shoggoth(tb, harness);
     table.add_row({"Shoggoth", Text_table::num(shoggoth.average_fps, 1)});
 
     std::cout << table.str() << "\n";

@@ -11,6 +11,7 @@
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "fleet/testbed.hpp"
 
 using namespace shog;
 
@@ -39,13 +40,16 @@ int main(int argc, char** argv) {
     std::cout << "=== Figure 5: CDF of windowed mAP gain vs Edge-Only (UA-DETRAC-like) ===\n"
               << "(duration " << duration << " s, seed " << seed << ", window 20 s)\n\n";
 
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, duration);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
+    core::Shoggoth_config prompt_config;
+    prompt_config.adaptive_sampling = false;
 
-    const sim::Run_result edge = benchutil::run_edge_only(tb);
-    const sim::Run_result cloud = benchutil::run_cloud_only(tb);
-    const sim::Run_result prompt = benchutil::run_prompt(tb);
-    const sim::Run_result ams = benchutil::run_ams(tb);
-    const sim::Run_result shoggoth = benchutil::run_shoggoth(tb);
+    const sim::Run_result edge = fleet::run_edge_only(tb, harness);
+    const sim::Run_result cloud = fleet::run_cloud_only(tb, harness);
+    const sim::Run_result prompt = fleet::run_shoggoth(tb, harness, prompt_config);
+    const sim::Run_result ams = fleet::run_ams(tb, harness);
+    const sim::Run_result shoggoth = fleet::run_shoggoth(tb, harness);
 
     const std::vector<double> g_cloud = sim::windowed_gain(cloud, edge);
     const std::vector<double> g_prompt = sim::windowed_gain(prompt, edge);

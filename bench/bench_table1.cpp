@@ -9,12 +9,15 @@
 //   Shoggoth   : 135/10 etc,     53.5 / 74.7 / 61.9 mAP
 // The harness reproduces the *shape*: ordering, gain over Edge-Only,
 // bandwidth ratios.
+#include <algorithm>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "fleet/testbed.hpp"
 
 int main(int argc, char** argv) {
     using namespace shog;
@@ -23,30 +26,38 @@ int main(int argc, char** argv) {
         cli::Usage{"bench_table1", "[duration_seconds>0] [seed] [preset]"}, argc, argv, 3);
     const double duration = args.duration_or(0, 240.0);
     const std::uint64_t seed = args.number_or<std::uint64_t>(1, "seed", 2023);
-    std::vector<const char*> presets = {"ua_detrac", "kitti", "waymo"};
+    std::vector<const char*> presets(video::preset_names.begin(), video::preset_names.end());
     if (args.positional.size() > 2) {
-        presets = {args.positional[2].c_str()};
+        const std::string& name = args.positional[2];
+        const auto known = std::ranges::find(video::preset_names, name);
+        if (known == video::preset_names.end()) {
+            cli::fail_usage(args.usage, "bad value '" + name + "' for preset");
+        }
+        presets = {*known};
     }
 
     std::cout << "=== Table I: strategy comparison on three datasets ===\n"
               << "(duration " << duration << " s per stream, seed " << seed << ")\n\n";
 
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
+    core::Shoggoth_config prompt_config;
+    prompt_config.adaptive_sampling = false;
     Text_table table{{"Dataset", "Metric", "Edge-Only", "Cloud-Only", "Prompt", "AMS",
                       "Shoggoth"}};
 
     for (const char* preset : presets) {
-        benchutil::Testbed tb = benchutil::make_testbed(preset, seed, duration);
+        const fleet::Testbed tb = fleet::make_testbed(preset, 1, seed, duration);
 
-        const sim::Run_result edge = benchutil::run_edge_only(tb);
-        benchutil::print_result_line(edge);
-        const sim::Run_result cloud = benchutil::run_cloud_only(tb);
-        benchutil::print_result_line(cloud);
-        const sim::Run_result prompt = benchutil::run_prompt(tb);
-        benchutil::print_result_line(prompt);
-        const sim::Run_result ams = benchutil::run_ams(tb);
-        benchutil::print_result_line(ams);
-        const sim::Run_result shoggoth = benchutil::run_shoggoth(tb);
-        benchutil::print_result_line(shoggoth);
+        const sim::Run_result edge = fleet::run_edge_only(tb, harness);
+        benchutil::print_result_line(preset, edge);
+        const sim::Run_result cloud = fleet::run_cloud_only(tb, harness);
+        benchutil::print_result_line(preset, cloud);
+        const sim::Run_result prompt = fleet::run_shoggoth(tb, harness, prompt_config);
+        benchutil::print_result_line(preset, prompt);
+        const sim::Run_result ams = fleet::run_ams(tb, harness);
+        benchutil::print_result_line(preset, ams);
+        const sim::Run_result shoggoth = fleet::run_shoggoth(tb, harness);
+        benchutil::print_result_line(preset, shoggoth);
 
         auto bw = [](const sim::Run_result& r) {
             return Text_table::num(r.up_kbps, 0) + "/" + Text_table::num(r.down_kbps, 0);

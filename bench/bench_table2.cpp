@@ -17,6 +17,8 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/adaptive_trainer.hpp"
+#include "fleet/testbed.hpp"
+#include "models/pretrain.hpp"
 
 using namespace shog;
 
@@ -46,24 +48,24 @@ int main(int argc, char** argv) {
         {"No Replay Memory", core::no_replay_config()},
     };
 
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, duration);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
 
     Text_table table{{"Method", "mAP (%)", "Forward (s)", "Backward (s)", "Overall (s)"}};
     for (const Variant& variant : variants) {
         // Timing: one steady-state session with the paper's exact shape.
-        auto timing_student = tb.fresh_student();
+        auto timing_student = tb.pristine->clone();
         core::Trainer_config timing_cfg = variant.config;
         timing_cfg.samples_per_image = 1.0; // price in "image" units like the paper
-        core::Adaptive_trainer timing_trainer{*timing_student, timing_cfg,
-                                              models::Deployed_profile::yolov4_resnet18(),
-                                              device::jetson_tx2()};
+        core::Adaptive_trainer timing_trainer{*timing_student, timing_cfg, device::jetson_tx2()};
         if (timing_cfg.replay_capacity > 0) {
             models::Pretrain_config warm_cfg;
             warm_cfg.domains = models::daytime_domains();
             warm_cfg.samples = timing_cfg.replay_capacity;
             warm_cfg.seed = seed ^ 0x77;
             timing_trainer.warm_start(
-                models::synth_dataset(tb.stream->world(), timing_student->config(), warm_cfg));
+                models::synth_dataset(tb.streams.front()->world(), timing_student->config(),
+                                      warm_cfg));
         }
         const core::Training_report cost =
             timing_trainer.estimate_session_cost(timing_cfg.batch_size);
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
         // Accuracy: run the full system with this trainer variant.
         core::Shoggoth_config system_cfg;
         system_cfg.trainer = variant.config;
-        const sim::Run_result result = benchutil::run_shoggoth(tb, std::move(system_cfg));
+        const sim::Run_result result = fleet::run_shoggoth(tb, harness, std::move(system_cfg));
 
         std::cout << "  " << variant.name << ": mAP=" << result.map * 100.0
                   << "% sessions=" << result.training_sessions

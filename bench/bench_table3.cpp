@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "fleet/testbed.hpp"
 
 using namespace shog;
 
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
     std::cout << "=== Table III: sensitivity to the sampling rate (UA-DETRAC-like) ===\n"
               << "(duration " << duration << " s, seed " << seed << ")\n\n";
 
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, duration);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const sim::Harness_config harness = benchutil::paper_harness(seed);
 
     std::vector<std::string> header{"rate ->"};
     std::vector<std::string> bw_row{"Up BW (Kbps)"};
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
         core::Shoggoth_config cfg;
         cfg.adaptive_sampling = false;
         cfg.fixed_rate = rate;
-        const sim::Run_result r = benchutil::run_shoggoth(tb, std::move(cfg));
+        const sim::Run_result r = fleet::run_shoggoth(tb, harness, std::move(cfg));
         std::cout << "  fixed " << rate << " fps: up=" << r.up_kbps
                   << "Kbps iou=" << r.average_iou << " mAP=" << r.map * 100.0 << "%\n";
         header.push_back(Text_table::num(rate, 1));
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
         map_row.push_back(Text_table::num(r.map * 100.0, 1));
     }
 
-    const sim::Run_result adaptive = benchutil::run_shoggoth(tb);
+    const sim::Run_result adaptive = fleet::run_shoggoth(tb, harness);
     std::cout << "  adaptive: up=" << adaptive.up_kbps << "Kbps iou=" << adaptive.average_iou
               << " mAP=" << adaptive.map * 100.0 << "%\n";
     header.push_back("Adaptive");

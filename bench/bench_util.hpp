@@ -1,24 +1,13 @@
-// Shared setup for the paper-reproduction bench harnesses: builds the
-// stream + pretrained detectors for a dataset preset and runs each strategy
-// under identical conditions (paired frames, identical initial student
-// weights via cloning).
+// Shared output helpers for the bench harnesses. The stream, the pretrained
+// detectors and the per-strategy runners come from fleet/testbed.hpp.
 #pragma once
 
+#include <cstdint>
 #include <iostream>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include <sys/resource.h>
 
-#include "baselines/ams.hpp"
-#include "baselines/cloud_only.hpp"
-#include "baselines/edge_only.hpp"
-#include "core/shoggoth.hpp"
-#include "models/deployed.hpp"
-#include "models/pretrain.hpp"
 #include "sim/harness.hpp"
-#include "video/presets.hpp"
 
 namespace shog::benchutil {
 
@@ -34,76 +23,16 @@ inline double peak_rss_mb() {
     return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-struct Testbed {
-    video::Dataset_preset preset;
-    std::unique_ptr<video::Video_stream> stream;
-    std::unique_ptr<models::Detector> pristine_student; ///< cloned per strategy
-    std::unique_ptr<models::Detector> teacher;
+/// The harness the paper benches run every strategy under: the defaults,
+/// with the RNG seed derived from the bench seed.
+inline sim::Harness_config paper_harness(std::uint64_t seed) {
     sim::Harness_config harness;
-
-    [[nodiscard]] std::unique_ptr<models::Detector> fresh_student() const {
-        return pristine_student->clone();
-    }
-};
-
-inline Testbed make_testbed(const char* preset_name, std::uint64_t seed, double duration) {
-    Testbed tb{video::preset_by_name(preset_name, seed, duration), nullptr, nullptr, nullptr,
-               {}};
-    tb.stream = std::make_unique<video::Video_stream>(tb.preset.stream, tb.preset.world,
-                                                      tb.preset.schedule);
-    tb.pristine_student = models::make_student(tb.stream->world(), seed);
-    tb.teacher = models::make_teacher(tb.stream->world(), seed);
-    tb.harness.seed = seed ^ 0x8888;
-    return tb;
+    harness.seed = seed ^ 0x8888;
+    return harness;
 }
 
-inline sim::Run_result run_edge_only(const Testbed& tb) {
-    auto student = tb.fresh_student();
-    baselines::Edge_only_strategy strategy{*student};
-    sim::Run_result r = sim::run_strategy(strategy, *tb.stream, tb.harness);
-    r.dataset = tb.preset.name;
-    return r;
-}
-
-inline sim::Run_result run_cloud_only(const Testbed& tb) {
-    baselines::Cloud_only_strategy strategy{*tb.teacher, device::v100()};
-    sim::Run_result r = sim::run_strategy(strategy, *tb.stream, tb.harness);
-    r.dataset = tb.preset.name;
-    return r;
-}
-
-inline sim::Run_result run_shoggoth(const Testbed& tb, core::Shoggoth_config config = {}) {
-    auto student = tb.fresh_student();
-    core::Shoggoth_strategy strategy{*student,
-                                     *tb.teacher,
-                                     std::move(config),
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(),
-                                     device::v100()};
-    sim::Run_result r = sim::run_strategy(strategy, *tb.stream, tb.harness);
-    r.dataset = tb.preset.name;
-    return r;
-}
-
-inline sim::Run_result run_prompt(const Testbed& tb) {
-    core::Shoggoth_config config;
-    config.adaptive_sampling = false;
-    config.fixed_rate = 2.0;
-    return run_shoggoth(tb, std::move(config));
-}
-
-inline sim::Run_result run_ams(const Testbed& tb, baselines::Ams_config config = {}) {
-    auto student = tb.fresh_student();
-    baselines::Ams_strategy strategy{*student, *tb.teacher, std::move(config),
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::v100()};
-    sim::Run_result r = sim::run_strategy(strategy, *tb.stream, tb.harness);
-    r.dataset = tb.preset.name;
-    return r;
-}
-
-inline void print_result_line(const sim::Run_result& r) {
-    std::cout << "  [" << r.dataset << "] " << r.strategy << ": mAP@0.5=" << r.map * 100.0
+inline void print_result_line(const char* dataset, const sim::Run_result& r) {
+    std::cout << "  [" << dataset << "] " << r.strategy << ": mAP@0.5=" << r.map * 100.0
               << "% up=" << r.up_kbps << "Kbps down=" << r.down_kbps
               << "Kbps fps=" << r.average_fps << " sessions=" << r.training_sessions
               << " cloudGPU=" << r.cloud_gpu_seconds << "s\n";

@@ -5,14 +5,8 @@
 //   ./autonomous_driving [duration_seconds] [seed]
 #include <iostream>
 
-#include "baselines/ams.hpp"
-#include "baselines/cloud_only.hpp"
-#include "baselines/edge_only.hpp"
 #include "common/cli.hpp"
-#include "core/shoggoth.hpp"
-#include "models/pretrain.hpp"
-#include "sim/harness.hpp"
-#include "video/presets.hpp"
+#include "fleet/testbed.hpp"
 
 int main(int argc, char** argv) {
     using namespace shog;
@@ -22,14 +16,10 @@ int main(int argc, char** argv) {
     const double duration = args.duration_or(0, 420.0);
     const std::uint64_t seed = args.number_or<std::uint64_t>(1, "seed", 13);
 
-    const video::Dataset_preset preset = video::kitti_like(seed, duration);
-    video::Video_stream stream{preset.stream, preset.world, preset.schedule};
+    const fleet::Testbed testbed = fleet::make_testbed("kitti", 1, seed, duration);
     std::cout << "KITTI-like drive: " << duration << " s, ego-motion "
-              << stream.config().ego_motion << ", car-only detection\n\n";
-
-    auto pristine = models::make_student(stream.world(), seed);
-    auto teacher = models::make_teacher(stream.world(), seed);
-    sim::Harness_config harness;
+              << testbed.streams.front()->config().ego_motion << ", car-only detection\n\n";
+    const sim::Harness_config harness{};
 
     std::printf("%-12s %8s %9s %10s %6s %9s %10s\n", "strategy", "mAP@0.5", "up Kbps",
                 "down Kbps", "fps", "sessions", "cloud GPU");
@@ -39,38 +29,12 @@ int main(int argc, char** argv) {
                     r.cloud_gpu_seconds);
     };
 
-    {
-        auto student = pristine->clone();
-        baselines::Edge_only_strategy s{*student};
-        report("Edge-Only", sim::run_strategy(s, stream, harness));
-    }
-    {
-        baselines::Cloud_only_strategy s{*teacher, device::v100()};
-        report("Cloud-Only", sim::run_strategy(s, stream, harness));
-    }
-    {
-        auto student = pristine->clone();
-        core::Shoggoth_config cfg;
-        cfg.adaptive_sampling = false;
-        cfg.fixed_rate = 2.0;
-        core::Shoggoth_strategy s{*student, *teacher, std::move(cfg),
-                                  models::Deployed_profile::yolov4_resnet18(),
-                                  device::jetson_tx2(), device::v100()};
-        report("Prompt", sim::run_strategy(s, stream, harness));
-    }
-    {
-        auto student = pristine->clone();
-        baselines::Ams_strategy s{*student, *teacher, baselines::Ams_config{},
-                                  models::Deployed_profile::yolov4_resnet18(),
-                                  device::v100()};
-        report("AMS", sim::run_strategy(s, stream, harness));
-    }
-    {
-        auto student = pristine->clone();
-        core::Shoggoth_strategy s{*student, *teacher, core::Shoggoth_config{},
-                                  models::Deployed_profile::yolov4_resnet18(),
-                                  device::jetson_tx2(), device::v100()};
-        report("Shoggoth", sim::run_strategy(s, stream, harness));
-    }
+    report("Edge-Only", fleet::run_edge_only(testbed, harness));
+    report("Cloud-Only", fleet::run_cloud_only(testbed, harness));
+    core::Shoggoth_config prompt;
+    prompt.adaptive_sampling = false;
+    report("Prompt", fleet::run_shoggoth(testbed, harness, prompt));
+    report("AMS", fleet::run_ams(testbed, harness));
+    report("Shoggoth", fleet::run_shoggoth(testbed, harness));
     return 0;
 }

@@ -11,9 +11,8 @@
 
 #include "common/cli.hpp"
 #include "core/adaptive_trainer.hpp"
-#include "core/labeling.hpp"
+#include "fleet/testbed.hpp"
 #include "models/pretrain.hpp"
-#include "video/presets.hpp"
 
 int main(int argc, char** argv) {
     using namespace shog;
@@ -22,10 +21,10 @@ int main(int argc, char** argv) {
         cli::parse_args(cli::Usage{"drift_explorer", "[seed]"}, argc, argv, 1);
     const std::uint64_t seed = args.number_or<std::uint64_t>(0, "seed", 3);
 
-    const video::Dataset_preset preset = video::ua_detrac_like(seed, 120.0);
-    video::World_model world{preset.world};
-    auto student = models::make_student(world, seed);
-    auto teacher = models::make_teacher(world, seed);
+    const fleet::Testbed testbed = fleet::make_testbed("ua_detrac", 1, seed, 120.0);
+    const video::World_model& world = testbed.streams.front()->world();
+    const auto student = testbed.pristine->clone(); // trained below
+    models::Detector& teacher = *testbed.teacher;
 
     auto accuracy_under = [&world](models::Detector& det, const video::Domain& domain,
                                    std::uint64_t s) {
@@ -51,16 +50,14 @@ int main(int argc, char** argv) {
     for (const Probe& p : probes) {
         std::printf("%-18s %6.1f%% %8.1f%%\n", p.name,
                     100.0 * accuracy_under(*student, p.domain, seed ^ 1),
-                    100.0 * accuracy_under(*teacher, p.domain, seed ^ 1));
+                    100.0 * accuracy_under(teacher, p.domain, seed ^ 1));
     }
 
     std::cout << "\n=== one adaptive training session on teacher-labeled night data ===\n";
     const double night_before = accuracy_under(*student, video::night(0.5), seed ^ 2);
     const double day_before = accuracy_under(*student, video::day_sunny(0.6), seed ^ 3);
 
-    core::Adaptive_trainer trainer{*student, core::ours_config(),
-                                   models::Deployed_profile::yolov4_resnet18(),
-                                   device::jetson_tx2()};
+    core::Adaptive_trainer trainer{*student, core::ours_config(), device::jetson_tx2()};
     // Warm the replay memory from the offline training data, as deployed.
     models::Pretrain_config warm;
     warm.domains = models::daytime_domains();

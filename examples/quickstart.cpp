@@ -8,12 +8,8 @@
 //   ./quickstart [duration_seconds] [seed]
 #include <iostream>
 
-#include "baselines/edge_only.hpp"
 #include "common/cli.hpp"
-#include "core/shoggoth.hpp"
-#include "models/pretrain.hpp"
-#include "sim/harness.hpp"
-#include "video/presets.hpp"
+#include "fleet/testbed.hpp"
 
 int main(int argc, char** argv) {
     using namespace shog;
@@ -23,36 +19,25 @@ int main(int argc, char** argv) {
     const double duration = args.duration_or(0, 300.0);
     const std::uint64_t seed = args.number_or<std::uint64_t>(1, "seed", 7);
 
-    // 1. A drifting video stream: UA-DETRAC-like traffic surveillance that
-    //    cycles through sunny / cloudy / rain / dusk / night.
-    const video::Dataset_preset preset = video::ua_detrac_like(seed, duration);
-    video::Video_stream stream{preset.stream, preset.world, preset.schedule};
+    // 1. A drifting video stream (UA-DETRAC-like traffic surveillance that
+    //    cycles through sunny / cloudy / rain / dusk / night) and its
+    //    detectors: the lightweight edge student (pre-trained on daytime
+    //    only — vulnerable to drift) and the cloud teacher (golden model).
+    const fleet::Testbed testbed = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const video::Video_stream& stream = *testbed.streams.front();
     std::cout << "stream: " << stream.frame_count() << " frames at " << stream.fps()
               << " fps, " << stream.num_classes() << " classes, "
               << stream.track_count() << " vehicle tracks\n";
 
-    // 2. Detectors: the lightweight edge student (pre-trained on daytime
-    //    only — vulnerable to drift) and the cloud teacher (golden model).
-    auto student = models::make_student(stream.world(), seed);
-    auto teacher = models::make_teacher(stream.world(), seed);
+    // 2. Baseline: the same student with no adaptation.
+    const sim::Harness_config harness{};
+    const sim::Run_result edge = fleet::run_edge_only(testbed, harness);
 
-    // 3. Baseline: the same student with no adaptation.
-    sim::Harness_config harness;
-    auto baseline_student = student->clone();
-    baselines::Edge_only_strategy edge_only{*baseline_student};
-    const sim::Run_result edge = sim::run_strategy(edge_only, stream, harness);
-
-    // 4. Shoggoth: decoupled knowledge distillation with adaptive online
+    // 3. Shoggoth: decoupled knowledge distillation with adaptive online
     //    learning (defaults reproduce the paper's configuration).
-    core::Shoggoth_strategy shoggoth{*student,
-                                     *teacher,
-                                     core::Shoggoth_config{},
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(),
-                                     device::v100()};
-    const sim::Run_result result = sim::run_strategy(shoggoth, stream, harness);
+    const sim::Run_result result = fleet::run_shoggoth(testbed, harness);
 
-    // 5. Summary.
+    // 4. Summary.
     std::cout << "\n               mAP@0.5   up Kbps  down Kbps   fps   sessions\n";
     auto row = [](const char* name, const sim::Run_result& r) {
         std::printf("%-12s %8.1f%% %9.1f %10.1f %5.1f %10zu\n", name, r.map * 100.0,

@@ -10,12 +10,8 @@
 //   ./traffic_surveillance [duration_seconds] [seed]
 #include <iostream>
 
-#include "baselines/edge_only.hpp"
 #include "common/cli.hpp"
-#include "core/shoggoth.hpp"
-#include "models/pretrain.hpp"
-#include "sim/harness.hpp"
-#include "video/presets.hpp"
+#include "fleet/testbed.hpp"
 
 int main(int argc, char** argv) {
     using namespace shog;
@@ -25,23 +21,16 @@ int main(int argc, char** argv) {
     const double duration = args.duration_or(0, 420.0);
     const std::uint64_t seed = args.number_or<std::uint64_t>(1, "seed", 11);
 
-    const video::Dataset_preset preset = video::ua_detrac_like(seed, duration);
-    video::Video_stream stream{preset.stream, preset.world, preset.schedule};
-    auto student = models::make_student(stream.world(), seed);
-    auto teacher = models::make_teacher(stream.world(), seed);
-    auto baseline_student = student->clone();
+    const fleet::Testbed testbed = fleet::make_testbed("ua_detrac", 1, seed, duration);
+    const video::Video_stream& stream = *testbed.streams.front();
+    const sim::Harness_config harness{};
+    const sim::Run_result edge = fleet::run_edge_only(testbed, harness);
 
-    sim::Harness_config harness;
-
-    baselines::Edge_only_strategy edge_only{*baseline_student};
-    const sim::Run_result edge = sim::run_strategy(edge_only, stream, harness);
-
-    core::Shoggoth_strategy shoggoth{*student,
-                                     *teacher,
-                                     core::Shoggoth_config{},
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(),
-                                     device::v100()};
+    // Built by hand rather than through fleet::run_shoggoth: the trace
+    // below reads the strategy's control records after the run.
+    const auto student = testbed.pristine->clone();
+    core::Shoggoth_strategy shoggoth{*student, *testbed.teacher, core::Shoggoth_config{},
+                                     device::jetson_tx2(), device::v100()};
     const sim::Run_result result = sim::run_strategy(shoggoth, stream, harness);
 
     std::cout << "=== control loop trace (cloud sampling-rate controller) ===\n";

@@ -28,20 +28,18 @@ sim::Cloud_runtime::Resume_replan make_resume_planner(std::vector<Sim_time> samp
 }
 
 Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
-                           Ams_config config, models::Deployed_profile profile,
-                           device::Compute_model cloud_device)
+                           Ams_config config, device::Compute_model cloud_device)
     : student_{student},
       cloud_copy_{student.clone()},
       config_{std::move(config)},
-      profile_{profile},
       labeler_{teacher, config_.labeler},
       controller_{config_.controller, config_.initial_rate},
       resource_monitor_{Sim_duration{1.0}},
       cloud_device_{std::move(cloud_device)},
       teacher_infer_gflops_{
           models::Deployed_profile::mask_rcnn_resnext101().inference_gflops()} {
-    cloud_trainer_ = std::make_unique<core::Adaptive_trainer>(*cloud_copy_, config_.trainer,
-                                                              profile_, cloud_device_);
+    cloud_trainer_ =
+        std::make_unique<core::Adaptive_trainer>(*cloud_copy_, config_.trainer, cloud_device_);
 }
 
 void Ams_strategy::start(sim::Edge_runtime& rt) {

@@ -60,7 +60,7 @@ struct Ams_config {
 class Ams_strategy final : public sim::Strategy {
 public:
     Ams_strategy(models::Detector& student, models::Detector& teacher, Ams_config config,
-                 models::Deployed_profile profile, device::Compute_model cloud_device);
+                 device::Compute_model cloud_device);
 
     [[nodiscard]] std::string name() const override { return "AMS"; }
     void start(sim::Edge_runtime& rt) override;
@@ -81,7 +81,7 @@ private:
     models::Detector& student_;
     std::unique_ptr<models::Detector> cloud_copy_;
     Ams_config config_;
-    models::Deployed_profile profile_;
+    const models::Deployed_profile profile_ = models::Deployed_profile::yolov4_resnet18();
     std::unique_ptr<core::Adaptive_trainer> cloud_trainer_;
     core::Online_labeler labeler_;
     core::Sampling_controller controller_;

@@ -51,11 +51,9 @@ std::size_t Adaptive_trainer::fresh_per_minibatch(std::size_t k, std::size_t n, 
 }
 
 Adaptive_trainer::Adaptive_trainer(models::Detector& detector, Trainer_config config,
-                                   models::Deployed_profile profile,
                                    device::Compute_model device)
     : detector_{detector},
       config_{std::move(config)},
-      profile_{std::move(profile)},
       device_{std::move(device)},
       memory_{config_.replay_capacity},
       rng_{config_.seed} {

@@ -104,9 +104,10 @@ struct Training_report {
 
 class Adaptive_trainer {
 public:
-    /// The trainer mutates `detector` in place; `device` prices the session.
+    /// The trainer mutates `detector` in place; `device` prices the session
+    /// against the deployed YOLOv4-ResNet18 profile.
     Adaptive_trainer(models::Detector& detector, Trainer_config config,
-                     models::Deployed_profile profile, device::Compute_model device);
+                     device::Compute_model device);
 
     /// Run one adaptive training session on freshly-labeled samples.
     /// Updates the replay memory per Algorithm 1 afterwards.
@@ -135,7 +136,7 @@ public:
 private:
     models::Detector& detector_;
     Trainer_config config_;
-    models::Deployed_profile profile_;
+    const models::Deployed_profile profile_ = models::Deployed_profile::yolov4_resnet18();
     device::Compute_model device_;
     Replay_memory memory_;
     Rng rng_;

@@ -9,12 +9,11 @@ namespace shog::core {
 
 Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
                                      Shoggoth_config config,
-                                     models::Deployed_profile edge_profile,
                                      device::Compute_model edge_device,
                                      device::Compute_model cloud_device)
     : student_{student},
       config_{std::move(config)},
-      trainer_{student, config_.trainer, std::move(edge_profile), std::move(edge_device)},
+      trainer_{student, config_.trainer, std::move(edge_device)},
       labeler_{teacher, config_.labeler},
       controller_{config_.controller, config_.initial_rate},
       resource_monitor_{Sim_duration{1.0}},

@@ -76,8 +76,8 @@ public:
     /// `student` runs at the edge (mutated by training); `teacher` labels in
     /// the cloud. Both borrowed; the caller keeps them alive.
     Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
-                      Shoggoth_config config, models::Deployed_profile edge_profile,
-                      device::Compute_model edge_device, device::Compute_model cloud_device);
+                      Shoggoth_config config, device::Compute_model edge_device,
+                      device::Compute_model cloud_device);
 
     [[nodiscard]] std::string name() const override {
         return config_.adaptive_sampling ? "Shoggoth" : "Prompt";

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <utility>
 
+#include "baselines/cloud_only.hpp"
+#include "baselines/edge_only.hpp"
 #include "models/pretrain.hpp"
 #include "sim/shard.hpp"
-#include "video/presets.hpp"
 
 namespace shog::fleet {
 
-namespace {
-
-Testbed build_testbed(const video::Dataset_preset& preset, std::size_t cameras,
-                      std::uint64_t seed) {
+Testbed make_testbed(const video::Dataset_preset& preset, std::size_t cameras,
+                     std::uint64_t seed) {
     SHOG_REQUIRE(cameras >= 1, "fleet testbed needs at least one camera");
     Testbed testbed;
     for (std::size_t i = 0; i < cameras; ++i) {
@@ -26,11 +25,9 @@ Testbed build_testbed(const video::Dataset_preset& preset, std::size_t cameras,
     return testbed;
 }
 
-} // namespace
-
 Testbed make_testbed(const char* preset_name, std::size_t cameras, std::uint64_t seed,
                      double duration) {
-    return build_testbed(video::preset_by_name(preset_name, seed, duration), cameras, seed);
+    return make_testbed(video::preset_by_name(preset_name, seed, duration), cameras, seed);
 }
 
 Testbed make_correlated_drift_testbed(const char* preset_name, std::size_t cameras,
@@ -50,7 +47,34 @@ Testbed make_correlated_drift_testbed(const char* preset_name, std::size_t camer
                                              },
                                              ramp,
                                              /*cycle=*/true};
-    return build_testbed(preset, cameras, seed);
+    return make_testbed(preset, cameras, seed);
+}
+
+sim::Run_result run_edge_only(const Testbed& testbed, const sim::Harness_config& harness) {
+    const auto student = testbed.pristine->clone();
+    baselines::Edge_only_strategy strategy{*student};
+    return sim::run_strategy(strategy, *testbed.streams.front(), harness);
+}
+
+sim::Run_result run_cloud_only(const Testbed& testbed, const sim::Harness_config& harness) {
+    baselines::Cloud_only_strategy strategy{*testbed.teacher, device::v100()};
+    return sim::run_strategy(strategy, *testbed.streams.front(), harness);
+}
+
+sim::Run_result run_shoggoth(const Testbed& testbed, const sim::Harness_config& harness,
+                             core::Shoggoth_config config) {
+    const auto student = testbed.pristine->clone();
+    core::Shoggoth_strategy strategy{*student, *testbed.teacher, std::move(config),
+                                     device::jetson_tx2(), device::v100()};
+    return sim::run_strategy(strategy, *testbed.streams.front(), harness);
+}
+
+sim::Run_result run_ams(const Testbed& testbed, const sim::Harness_config& harness,
+                        baselines::Ams_config config) {
+    const auto student = testbed.pristine->clone();
+    baselines::Ams_strategy strategy{*student, *testbed.teacher, std::move(config),
+                                     device::v100()};
+    return sim::run_strategy(strategy, *testbed.streams.front(), harness);
 }
 
 std::vector<Edge_class> default_edge_classes() {
@@ -83,19 +107,15 @@ namespace {
 
 /// `factory(student, device_index)` builds one device's strategy around its
 /// cloned student (the index lets heterogeneous fleets pick per-device
-/// hardware at construction time). With `wrap_cameras`, device i watches
-/// stream i mod cameras — the city-scale fleets reuse a camera pool far
-/// smaller than the fleet so stream construction stays O(cameras), not
-/// O(devices); without it, oversubscribing the testbed is an error.
+/// hardware at construction time). Device i watches stream i mod cameras:
+/// the city-scale fleets reuse a camera pool far smaller than the fleet so
+/// stream construction stays O(cameras), not O(devices).
 template <typename Factory>
 void grow_fleet(Fleet& fleet, const Testbed& testbed, std::size_t devices,
-                Factory&& factory, bool wrap_cameras = false) {
+                Factory&& factory) {
     for (std::size_t i = 0; i < devices; ++i) {
         const std::size_t device = fleet.specs.size();
-        const std::size_t camera =
-            wrap_cameras ? device % testbed.streams.size() : device;
-        SHOG_REQUIRE(camera < testbed.streams.size(),
-                     "fleet size must fit the testbed's cameras");
+        const std::size_t camera = device % testbed.streams.size();
         fleet.students.push_back(testbed.pristine->clone());
         // The factory keys off the device position (not the camera) so the
         // per-device edge-class cycle stays aligned with
@@ -124,9 +144,8 @@ auto shoggoth_factory(models::Detector& teacher, core::Shoggoth_config config,
             classes = std::move(classes)](models::Detector& student, std::size_t i) {
         const device::Compute_model edge =
             classes.empty() ? device::jetson_tx2() : classes[i % classes.size()].device;
-        return std::make_unique<core::Shoggoth_strategy>(
-            student, teacher, config, models::Deployed_profile::yolov4_resnet18(),
-            edge, cloud_device);
+        return std::make_unique<core::Shoggoth_strategy>(student, teacher, config, edge,
+                                                         cloud_device);
     };
 }
 
@@ -135,9 +154,8 @@ auto ams_factory(models::Detector& teacher, baselines::Ams_config config,
     return [&teacher, config = std::move(config),
             cloud_device = std::move(cloud_device)](models::Detector& student,
                                                     std::size_t) {
-        return std::make_unique<baselines::Ams_strategy>(
-            student, teacher, config,
-            models::Deployed_profile::yolov4_resnet18(), cloud_device);
+        return std::make_unique<baselines::Ams_strategy>(student, teacher, config,
+                                                         cloud_device);
     };
 }
 
@@ -200,11 +218,8 @@ Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterog
     grow_fleet(fleet, testbed, shoggoth_devices,
                shoggoth_factory(*fleet.teacher, {}, cloud_share,
                                 heterogeneous ? default_edge_classes()
-                                              : std::vector<Edge_class>{}),
-               /*wrap_cameras=*/true);
-    grow_fleet(fleet, testbed, ams_devices,
-               ams_factory(*fleet.teacher, ams_config, cloud_share),
-               /*wrap_cameras=*/true);
+                                              : std::vector<Edge_class>{}));
+    grow_fleet(fleet, testbed, ams_devices, ams_factory(*fleet.teacher, ams_config, cloud_share));
     if (heterogeneous) {
         assign_heterogeneous_hardware(fleet);
     }

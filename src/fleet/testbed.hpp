@@ -1,7 +1,9 @@
-// Fleet testbed: shared construction helpers for multi-device cluster
-// experiments (examples and benches). One world and one pretrained
-// student/teacher pair serve the whole fleet; each camera gets its own
-// track population (distinct stream seed) so devices see different video.
+// Fleet testbed: the one way to build camera streams plus the pretrained
+// student/teacher pair (make_testbed), one runner per paper strategy on
+// camera 0, and the multi-device fleets and cloud-sweep cells built on top.
+// One world and one pretrained pair serve the whole fleet; each camera gets
+// its own track population (distinct stream seed) so devices see different
+// video.
 //
 // Supports heterogeneous fleets (mixed edge accelerators and link profiles,
 // including straggler devices), mixed-strategy fleets (Shoggoth + AMS, so
@@ -18,6 +20,7 @@
 #include "baselines/ams.hpp"
 #include "core/shoggoth.hpp"
 #include "sim/harness.hpp"
+#include "video/presets.hpp"
 #include "video/stream.hpp"
 
 namespace shog::fleet {
@@ -38,8 +41,15 @@ struct Testbed {
     std::unique_ptr<models::Detector> teacher;
 };
 
-/// Build `cameras` same-world streams plus the pretrained model pair.
-/// Preset names: "ua_detrac", "kitti", "waymo".
+/// Build `cameras` streams of `preset` (camera i uses stream seed
+/// `preset.stream.seed + i`) plus the model pair pretrained from `seed` on
+/// the preset's world: the daytime-only student and the all-condition
+/// teacher. Every example, bench and test fixture that needs a stream and
+/// pretrained models builds them here.
+[[nodiscard]] Testbed make_testbed(const video::Dataset_preset& preset, std::size_t cameras,
+                                   std::uint64_t seed);
+
+/// make_testbed over `video::preset_by_name(preset_name, seed, duration)`.
 [[nodiscard]] Testbed make_testbed(const char* preset_name, std::size_t cameras,
                                    std::uint64_t seed, double duration);
 
@@ -50,6 +60,26 @@ struct Testbed {
 [[nodiscard]] Testbed make_correlated_drift_testbed(const char* preset_name,
                                                     std::size_t cameras, std::uint64_t seed,
                                                     double duration);
+
+/// One run of each paper system on camera 0 of `testbed` under `harness`,
+/// every student a fresh clone of `testbed.pristine`: Edge-Only (the
+/// student, never adapted), Cloud-Only (every frame to the V100 teacher),
+/// Shoggoth (TX2 edge training, V100 labeling) and AMS (V100 fine-tunes).
+/// Prompt is run_shoggoth with `adaptive_sampling = false`.
+///
+/// The runners borrow `testbed.teacher` itself, whose detect() mutates
+/// network state, so only sequential callers may use them; parallel sweep
+/// cells go through run_cell, which clones the teacher per cell.
+[[nodiscard]] sim::Run_result run_edge_only(const Testbed& testbed,
+                                            const sim::Harness_config& harness);
+[[nodiscard]] sim::Run_result run_cloud_only(const Testbed& testbed,
+                                             const sim::Harness_config& harness);
+[[nodiscard]] sim::Run_result run_shoggoth(const Testbed& testbed,
+                                           const sim::Harness_config& harness,
+                                           core::Shoggoth_config config = {});
+[[nodiscard]] sim::Run_result run_ams(const Testbed& testbed,
+                                      const sim::Harness_config& harness,
+                                      baselines::Ams_config config = {});
 
 /// One class of edge hardware in a heterogeneous fleet.
 struct Edge_class {
@@ -95,7 +125,9 @@ void assign_heterogeneous_hardware(Fleet& fleet,
 /// next ams_devices run AMS — their whole-model cloud fine-tunes are the
 /// train jobs that contend with (and under FIFO starve) labeling. Either
 /// count may be 0: make_mixed_fleet(testbed, n, 0) is an all-Shoggoth
-/// fleet, make_mixed_fleet(testbed, 0, n) an all-AMS one.
+/// fleet, make_mixed_fleet(testbed, 0, n) an all-AMS one. In every fleet,
+/// device i watches stream i mod cameras, so a one-camera testbed puts the
+/// whole fleet on one stream.
 [[nodiscard]] Fleet make_mixed_fleet(const Testbed& testbed, std::size_t shoggoth_devices,
                                      std::size_t ams_devices,
                                      core::Shoggoth_config shoggoth_config = {},
@@ -106,9 +138,9 @@ void assign_heterogeneous_hardware(Fleet& fleet,
 /// half-AMS fleet (fine-tune cadence halved so train jobs land within short
 /// runs) against a scaled-down cloud share — the many-devices-per-GPU regime
 /// where dispatch order decides whether labeling starves behind training.
-/// `devices` may exceed the testbed's camera count: device i watches
-/// stream i mod cameras, so the expensive per-camera track populations are
-/// built once and shared while every device keeps its own student, strategy
+/// `devices` may exceed the testbed's camera count (device i watches stream
+/// i mod cameras): the expensive per-camera track populations are built
+/// once and shared while every device keeps its own student, strategy
 /// state, RNG substream and (optionally heterogeneous) hardware. That lets
 /// the fleet_scale bench push N to 10^4 without 10^4 stream constructions.
 [[nodiscard]] Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices,

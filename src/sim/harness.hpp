@@ -46,7 +46,6 @@ struct Harness_config {
 
 struct Run_result {
     std::string strategy;
-    std::string dataset;
     /// Time-averaged mAP@IoU: mean of the windowed mAP series. This is the
     /// headline accuracy metric (live video cares about accuracy *over
     /// time*, not about a stream-global detection ranking).

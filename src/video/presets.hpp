@@ -8,6 +8,7 @@
 // baselines in Table I.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "video/stream.hpp"
@@ -34,7 +35,10 @@ struct Dataset_preset {
 /// suburban driving, intermediate drift (paper Edge-Only mAP 47.5).
 [[nodiscard]] Dataset_preset waymo_like(std::uint64_t seed, double duration = 600.0);
 
-/// Look up by name ("ua_detrac", "kitti", "waymo"); throws on unknown names.
+/// Every name preset_by_name accepts, in Table I order.
+inline constexpr std::array<const char*, 3> preset_names{"ua_detrac", "kitti", "waymo"};
+
+/// Look up by name (one of preset_names); throws on unknown names.
 [[nodiscard]] Dataset_preset preset_by_name(const char* name, std::uint64_t seed,
                                             double duration = 600.0);
 

@@ -4,6 +4,8 @@
 // gate, and actual learning behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/adaptive_trainer.hpp"
 #include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
@@ -14,14 +16,12 @@ namespace {
 
 struct Trainer_fixture : public ::testing::Test {
     static void SetUpTestSuite() {
-        preset = new video::Dataset_preset{video::ua_detrac_like(23, 120.0)};
-        world = new video::World_model{preset->world};
-        pristine = models::make_student(*world, 23).release();
+        world = std::make_unique<video::World_model>(video::ua_detrac_like(23, 120.0).world);
+        pristine = models::make_student(*world, 23);
     }
     static void TearDownTestSuite() {
-        delete pristine;
-        delete world;
-        delete preset;
+        pristine.reset();
+        world.reset();
     }
     void SetUp() override { student = pristine->clone(); }
 
@@ -38,19 +38,13 @@ struct Trainer_fixture : public ::testing::Test {
 
     Adaptive_trainer make_trainer(Trainer_config cfg) {
         cfg.seed = 77;
-        return Adaptive_trainer{*student, cfg, models::Deployed_profile::yolov4_resnet18(),
-                                device::jetson_tx2()};
+        return Adaptive_trainer{*student, cfg, device::jetson_tx2()};
     }
 
-    static video::Dataset_preset* preset;
-    static video::World_model* world;
-    static models::Detector* pristine;
+    static inline std::unique_ptr<video::World_model> world;
+    static inline std::unique_ptr<models::Detector> pristine;
     std::unique_ptr<models::Detector> student;
 };
-
-video::Dataset_preset* Trainer_fixture::preset = nullptr;
-video::World_model* Trainer_fixture::world = nullptr;
-models::Detector* Trainer_fixture::pristine = nullptr;
 
 // -------------------------------------------------- mini-batch composition -
 
@@ -244,9 +238,7 @@ TEST_F(Trainer_fixture, NoReplayForgetsMore) {
         auto fresh_student = pristine->clone();
         cfg.seed = 99;
         cfg.validation_fraction = 0.0; // measure raw forgetting
-        Adaptive_trainer trainer{*fresh_student, cfg,
-                                 models::Deployed_profile::yolov4_resnet18(),
-                                 device::jetson_tx2()};
+        Adaptive_trainer trainer{*fresh_student, cfg, device::jetson_tx2()};
         if (cfg.replay_capacity > 0) {
             trainer.warm_start(domain_samples(video::day_sunny(0.6), 1000, 44));
         }

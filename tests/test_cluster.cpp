@@ -4,14 +4,7 @@
 // per device at equal fleet size).
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "baselines/ams.hpp"
-#include "baselines/edge_only.hpp"
-#include "core/shoggoth.hpp"
 #include "pretrained_fixture.hpp"
-#include "sim/harness.hpp"
-#include "video/presets.hpp"
 
 namespace shog::sim {
 namespace {
@@ -113,69 +106,22 @@ TEST(CloudRuntime, CompletionMaySubmitFollowUpWork) {
 // Cluster engine integration tests.
 // ---------------------------------------------------------------------------
 
+// One camera: every device of a make_mixed_fleet watches the same stream,
+// each with its own student.
 struct Cluster_fixture : public Pretrained_fixture<Cluster_fixture> {
-    static void SetUpTestSuite() {
-        load(video::ua_detrac_like(41, 120.0), 41);
-        // Second camera: same world (one pretrained model pool serves the
-        // fleet), different track population.
-        video::Stream_config second_camera = preset->stream;
-        second_camera.seed = preset->stream.seed + 1;
-        stream_b = std::make_unique<video::Video_stream>(second_camera, preset->world,
-                                                         preset->schedule);
-    }
-    static void TearDownTestSuite() {
-        stream_b.reset();
-        Pretrained_fixture::TearDownTestSuite();
-    }
+    static video::Dataset_preset preset() { return video::ua_detrac_like(41, 120.0); }
+    static void SetUpTestSuite() { load(preset(), 41); }
     void SetUp() override { config.harness.eval_stride = 15; }
 
-    struct Fleet {
-        std::vector<std::unique_ptr<models::Detector>> students;
-        std::vector<std::unique_ptr<Strategy>> strategies;
-        std::vector<Device_spec> specs;
-    };
-
-    /// N Shoggoth devices over the shared stream, each with its own student.
-    Fleet shoggoth_fleet(std::size_t n, device::Compute_model cloud_device = device::v100(),
-                         core::Shoggoth_config cfg = {}) {
-        Fleet fleet;
-        for (std::size_t i = 0; i < n; ++i) {
-            fleet.students.push_back(student->clone());
-            fleet.strategies.push_back(std::make_unique<core::Shoggoth_strategy>(
-                *fleet.students.back(), *teacher, cfg,
-                models::Deployed_profile::yolov4_resnet18(), device::jetson_tx2(),
-                cloud_device));
-            fleet.specs.push_back(Device_spec{fleet.strategies.back().get(), stream.get(), {}});
-        }
-        return fleet;
-    }
-
-    Fleet ams_fleet(std::size_t n) {
-        Fleet fleet;
-        for (std::size_t i = 0; i < n; ++i) {
-            fleet.students.push_back(student->clone());
-            fleet.strategies.push_back(std::make_unique<baselines::Ams_strategy>(
-                *fleet.students.back(), *teacher, baselines::Ams_config{},
-                models::Deployed_profile::yolov4_resnet18(), device::v100()));
-            fleet.specs.push_back(Device_spec{fleet.strategies.back().get(), stream.get(), {}});
-        }
-        return fleet;
-    }
-
-    static inline std::unique_ptr<video::Video_stream> stream_b;
     Cluster_config config;
 };
 
 TEST_F(Cluster_fixture, ClusterOfOneMatchesRunStrategy) {
     // run_strategy must be exactly a cluster of one: same seed, same clock,
     // same contended-cloud path, bit-identical metrics.
-    auto s1 = student->clone();
-    core::Shoggoth_strategy single{*s1, *teacher, core::Shoggoth_config{},
-                                   models::Deployed_profile::yolov4_resnet18(),
-                                   device::jetson_tx2(), device::v100()};
-    const Run_result a = run_strategy(single, *stream, config.harness);
+    const Run_result a = fleet::run_shoggoth(*testbed, config.harness);
 
-    Fleet fleet = shoggoth_fleet(1);
+    const fleet::Fleet fleet = fleet::make_mixed_fleet(*testbed, 1, 0);
     const Cluster_result cluster = run_cluster(fleet.specs, config);
     ASSERT_EQ(cluster.devices.size(), 1u);
     const Run_result& b = cluster.devices.front();
@@ -192,9 +138,9 @@ TEST_F(Cluster_fixture, ClusterOfOneMatchesRunStrategy) {
 
 TEST_F(Cluster_fixture, FleetRunsAreDeterministic) {
     // Same seed => bit-identical per-device results and fleet aggregates.
-    Fleet f1 = shoggoth_fleet(3);
+    const fleet::Fleet f1 = fleet::make_mixed_fleet(*testbed, 3, 0);
     const Cluster_result a = run_cluster(f1.specs, config);
-    Fleet f2 = shoggoth_fleet(3);
+    const fleet::Fleet f2 = fleet::make_mixed_fleet(*testbed, 3, 0);
     const Cluster_result b = run_cluster(f2.specs, config);
 
     ASSERT_EQ(a.devices.size(), b.devices.size());
@@ -221,8 +167,14 @@ TEST(ClusterSeeds, DeviceSubstreamsAreDistinct) {
 TEST_F(Cluster_fixture, DevicesRunTheirOwnStreams) {
     // A fleet mixes devices watching different videos; each device's
     // metrics must be measured against its own stream, not the fleet's.
-    Fleet fleet = shoggoth_fleet(2);
-    fleet.specs[1].stream = stream_b.get();
+    // Device 1 watches camera 1 of the preset: same world (one pretrained
+    // model pool serves the fleet), different track population.
+    const video::Dataset_preset camera_preset = preset();
+    video::Stream_config camera_1 = camera_preset.stream;
+    camera_1.seed += 1;
+    const video::Video_stream stream_b{camera_1, camera_preset.world, camera_preset.schedule};
+    fleet::Fleet fleet = fleet::make_mixed_fleet(*testbed, 2, 0);
+    fleet.specs[1].stream = &stream_b;
     const Cluster_result cluster = run_cluster(fleet.specs, config);
     ASSERT_EQ(cluster.devices.size(), 2u);
     EXPECT_NE(cluster.devices[0].up_kbps, cluster.devices[1].up_kbps);
@@ -240,7 +192,7 @@ TEST_F(Cluster_fixture, LabelLatencyGrowsWithFleetSize) {
     cfg.adaptive_sampling = false; // fixed 2 fps => constant offered load
     std::vector<double> latency;
     for (std::size_t n : {1u, 2u, 4u}) {
-        Fleet fleet = shoggoth_fleet(n, weak_gpu, cfg);
+        const fleet::Fleet fleet = fleet::make_mixed_fleet(*testbed, n, 0, cfg, {}, weak_gpu);
         const Cluster_result cluster = run_cluster(fleet.specs, config);
         ASSERT_GT(cluster.cloud_jobs, 0u);
         latency.push_back(cluster.mean_label_latency);
@@ -254,9 +206,9 @@ TEST_F(Cluster_fixture, ShoggothFleetUsesLessCloudGpuPerDeviceThanAms) {
     // with training on the edge, a Shoggoth fleet consumes strictly less
     // cloud GPU time per device than an equal-size AMS fleet, whose cloud
     // fine-tuning dominates the GPU.
-    Fleet shoggoth = shoggoth_fleet(4);
+    const fleet::Fleet shoggoth = fleet::make_mixed_fleet(*testbed, 4, 0);
     const Cluster_result shog = run_cluster(shoggoth.specs, config);
-    Fleet ams = ams_fleet(4);
+    const fleet::Fleet ams = fleet::make_mixed_fleet(*testbed, 0, 4);
     const Cluster_result ams_result = run_cluster(ams.specs, config);
 
     EXPECT_LT(shog.gpu_seconds_per_device(), ams_result.gpu_seconds_per_device())

@@ -3,13 +3,7 @@
 // stream so the suite stays fast while the mechanisms still engage.
 #include <gtest/gtest.h>
 
-#include "baselines/ams.hpp"
-#include "baselines/cloud_only.hpp"
-#include "baselines/edge_only.hpp"
-#include "core/shoggoth.hpp"
 #include "pretrained_fixture.hpp"
-#include "sim/harness.hpp"
-#include "video/presets.hpp"
 
 namespace shog {
 namespace {
@@ -32,48 +26,22 @@ struct Integration_fixture : public Pretrained_fixture<Integration_fixture> {
     static void SetUpTestSuite() { load(gauntlet(2023, 300.0), 2023); }
     void SetUp() override { config.eval_stride = 14; }
 
-    sim::Run_result run_shoggoth(core::Shoggoth_config cfg = {}) {
-        auto local_student = student->clone();
-        core::Shoggoth_strategy strategy{*local_student,
-                                         *teacher,
-                                         std::move(cfg),
-                                         models::Deployed_profile::yolov4_resnet18(),
-                                         device::jetson_tx2(),
-                                         device::v100()};
-        return sim::run_strategy(strategy, *stream, config);
-    }
-
-    sim::Run_result run_edge_only() {
-        auto local_student = student->clone();
-        baselines::Edge_only_strategy strategy{*local_student};
-        return sim::run_strategy(strategy, *stream, config);
-    }
-
-    sim::Run_result run_ams() {
-        auto local_student = student->clone();
-        baselines::Ams_strategy strategy{*local_student, *teacher, baselines::Ams_config{},
-                                         models::Deployed_profile::yolov4_resnet18(),
-                                         device::v100()};
-        return sim::run_strategy(strategy, *stream, config);
-    }
-
     sim::Harness_config config;
 };
 
 TEST_F(Integration_fixture, ShoggothBeatsEdgeOnlyUnderDrift) {
     // The headline claim: adaptive online learning improves accuracy on a
     // drifting stream.
-    const sim::Run_result edge = run_edge_only();
-    const sim::Run_result shog = run_shoggoth();
+    const sim::Run_result edge = fleet::run_edge_only(*testbed, config);
+    const sim::Run_result shog = fleet::run_shoggoth(*testbed, config);
     EXPECT_GT(shog.map, edge.map + 0.02)
         << "Shoggoth " << shog.map << " vs Edge-Only " << edge.map;
     EXPECT_GT(shog.training_sessions, 0u);
 }
 
 TEST_F(Integration_fixture, ShoggothUsesFarLessBandwidthThanCloudOnly) {
-    baselines::Cloud_only_strategy cloud{*teacher, device::v100()};
-    const sim::Run_result cloud_result = sim::run_strategy(cloud, *stream, config);
-    const sim::Run_result shog = run_shoggoth();
+    const sim::Run_result cloud_result = fleet::run_cloud_only(*testbed, config);
+    const sim::Run_result shog = fleet::run_shoggoth(*testbed, config);
     EXPECT_GT(cloud_result.up_kbps, 8.0 * shog.up_kbps);
     EXPECT_GT(cloud_result.down_kbps, 20.0 * shog.down_kbps);
     // Cloud-Only remains the accuracy upper bound.
@@ -81,8 +49,8 @@ TEST_F(Integration_fixture, ShoggothUsesFarLessBandwidthThanCloudOnly) {
 }
 
 TEST_F(Integration_fixture, AmsShipsModelsDownlinkHeavy) {
-    const sim::Run_result ams = run_ams();
-    const sim::Run_result shog = run_shoggoth();
+    const sim::Run_result ams = fleet::run_ams(*testbed, config);
+    const sim::Run_result shog = fleet::run_shoggoth(*testbed, config);
     EXPECT_GT(ams.down_kbps, 3.0 * shog.down_kbps)
         << "AMS downlink " << ams.down_kbps << " vs Shoggoth " << shog.down_kbps;
     // AMS trains in the cloud: more cloud GPU time, fewer edge fps dips.
@@ -91,8 +59,8 @@ TEST_F(Integration_fixture, AmsShipsModelsDownlinkHeavy) {
 }
 
 TEST_F(Integration_fixture, TrainingCostsEdgeFps) {
-    const sim::Run_result edge = run_edge_only();
-    const sim::Run_result shog = run_shoggoth();
+    const sim::Run_result edge = fleet::run_edge_only(*testbed, config);
+    const sim::Run_result shog = fleet::run_shoggoth(*testbed, config);
     EXPECT_GT(edge.average_fps, shog.average_fps); // Fig. 4's 2-3 fps loss
     EXPECT_GT(shog.average_fps, 15.0);             // but not catastrophic
     bool dipped = false;
@@ -105,16 +73,15 @@ TEST_F(Integration_fixture, TrainingCostsEdgeFps) {
 TEST_F(Integration_fixture, PromptUsesMoreUplinkThanAdaptive) {
     core::Shoggoth_config prompt_cfg;
     prompt_cfg.adaptive_sampling = false;
-    prompt_cfg.fixed_rate = 2.0;
-    const sim::Run_result prompt = run_shoggoth(std::move(prompt_cfg));
-    const sim::Run_result shog = run_shoggoth();
+    const sim::Run_result prompt = fleet::run_shoggoth(*testbed, config, prompt_cfg);
+    const sim::Run_result shog = fleet::run_shoggoth(*testbed, config);
     EXPECT_EQ(prompt.strategy, "Prompt");
     EXPECT_GT(prompt.up_kbps, shog.up_kbps);
 }
 
 TEST_F(Integration_fixture, DeterministicEndToEnd) {
-    const sim::Run_result a = run_shoggoth();
-    const sim::Run_result b = run_shoggoth();
+    const sim::Run_result a = fleet::run_shoggoth(*testbed, config);
+    const sim::Run_result b = fleet::run_shoggoth(*testbed, config);
     EXPECT_DOUBLE_EQ(a.map, b.map);
     EXPECT_DOUBLE_EQ(a.up_kbps, b.up_kbps);
     EXPECT_DOUBLE_EQ(a.down_kbps, b.down_kbps);
@@ -122,14 +89,10 @@ TEST_F(Integration_fixture, DeterministicEndToEnd) {
 }
 
 TEST_F(Integration_fixture, SamplingRateRespondsToDrift) {
-    auto local_student = student->clone();
-    core::Shoggoth_strategy strategy{*local_student,
-                                     *teacher,
-                                     core::Shoggoth_config{},
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(),
-                                     device::v100()};
-    (void)sim::run_strategy(strategy, *stream, config);
+    auto local_student = student().clone();
+    core::Shoggoth_strategy strategy{*local_student, teacher(), core::Shoggoth_config{},
+                                     device::jetson_tx2(), device::v100()};
+    (void)sim::run_strategy(strategy, stream(), config);
     const auto& trace = strategy.control_trace();
     ASSERT_GT(trace.size(), 5u);
     double min_rate = 10.0;

@@ -108,24 +108,24 @@ struct Labeler_fixture : public Pretrained_fixture<Labeler_fixture> {
 };
 
 TEST_F(Labeler_fixture, Eq1PositiveAndNegativeLabels) {
-    Online_labeler labeler{*teacher};
+    Online_labeler labeler{teacher()};
     Rng rng{1};
-    const video::Frame frame = stream->frame_at(200);
-    const auto proposals = student->propose(frame, stream->world());
-    const Labeled_frame labeled = labeler.label(frame, stream->world(), proposals, rng);
+    const video::Frame frame = stream().frame_at(200);
+    const auto proposals = student().propose(frame, stream().world());
+    const Labeled_frame labeled = labeler.label(frame, stream().world(), proposals, rng);
 
     ASSERT_FALSE(labeled.teacher_detections.empty());
     ASSERT_FALSE(labeled.samples.empty());
     std::size_t positives = 0;
     std::size_t negatives = 0;
     for (const auto& s : labeled.samples) {
-        EXPECT_EQ(s.feature.size(), stream->world().feature_dim());
+        EXPECT_EQ(s.feature.size(), stream().world().feature_dim());
         if (s.class_label == 0) {
             ++negatives;
             EXPECT_LT(s.weight, 1.0 + 1e-12); // negatives carry reduced weight
         } else {
             ++positives;
-            EXPECT_LE(s.class_label, stream->num_classes());
+            EXPECT_LE(s.class_label, stream().num_classes());
             EXPECT_DOUBLE_EQ(s.weight, 1.0);
         }
     }
@@ -136,11 +136,11 @@ TEST_F(Labeler_fixture, Eq1PositiveAndNegativeLabels) {
 }
 
 TEST_F(Labeler_fixture, PositiveBoxTargetsPointAtTeacherBoxes) {
-    Online_labeler labeler{*teacher};
+    Online_labeler labeler{teacher()};
     Rng rng{2};
-    const video::Frame frame = stream->frame_at(300);
-    const auto proposals = student->propose(frame, stream->world());
-    const Labeled_frame labeled = labeler.label(frame, stream->world(), proposals, rng);
+    const video::Frame frame = stream().frame_at(300);
+    const auto proposals = student().propose(frame, stream().world());
+    const Labeled_frame labeled = labeler.label(frame, stream().world(), proposals, rng);
 
     // Reconstruct: for every positive sample, applying its box target to the
     // matched proposal must land on SOME teacher detection box (IoU >= 0.5).
@@ -172,9 +172,9 @@ TEST_F(Labeler_fixture, PositiveBoxTargetsPointAtTeacherBoxes) {
 }
 
 TEST_F(Labeler_fixture, LabelerConfigValidation) {
-    EXPECT_THROW((Online_labeler{*teacher, Labeler_config{1.5, 0.2, 1.0, 0.75}}),
+    EXPECT_THROW((Online_labeler{teacher(), Labeler_config{1.5, 0.2, 1.0, 0.75}}),
                  std::invalid_argument);
-    EXPECT_THROW((Online_labeler{*teacher, Labeler_config{0.5, 0.2, 0.0, 0.75}}),
+    EXPECT_THROW((Online_labeler{teacher(), Labeler_config{0.5, 0.2, 0.0, 0.75}}),
                  std::invalid_argument);
 }
 
@@ -182,14 +182,14 @@ TEST_F(Labeler_fixture, TeacherLabelsAreMostlyCorrect) {
     // "we verify that the generated labels are very similar to human-
     // annotated labels" — check class correctness of positives against the
     // simulation ground truth, on daytime frames.
-    Online_labeler labeler{*teacher};
+    Online_labeler labeler{teacher()};
     Rng rng{3};
     std::size_t positives = 0;
     std::size_t correct = 0;
     for (std::size_t k = 0; k < 20; ++k) {
-        const video::Frame frame = stream->frame_at(k * 25); // daytime segment
-        const auto proposals = student->propose(frame, stream->world());
-        const Labeled_frame labeled = labeler.label(frame, stream->world(), proposals, rng);
+        const video::Frame frame = stream().frame_at(k * 25); // daytime segment
+        const auto proposals = student().propose(frame, stream().world());
+        const Labeled_frame labeled = labeler.label(frame, stream().world(), proposals, rng);
         std::size_t sample_idx = 0;
         for (const auto& proposal : proposals) {
             if (sample_idx >= labeled.samples.size()) {

@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "determinism_harness.hpp"
-#include "fleet/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "pretrained_fixture.hpp"
 #include "sim/harness.hpp"
 #include "sim/shard.hpp"
 
@@ -165,15 +165,8 @@ TEST(TraceExport, SerializeMetricsCsvListsSeriesAndHistograms) {
 // One testbed serves every engine-level test (construction dominates).
 // 60 s streams: the preemption path needs a cloud fine-tune in flight while
 // labels queue behind it, which first happens around t=50 on this cell.
-struct Obs_fixture : public ::testing::Test {
-    static void SetUpTestSuite() {
-        testbed = new fleet::Testbed{fleet::make_testbed("ua_detrac", 4, 23, 60.0)};
-    }
-    static void TearDownTestSuite() {
-        delete testbed;
-        testbed = nullptr;
-    }
-    static fleet::Testbed* testbed;
+struct Obs_fixture : public Pretrained_fixture<Obs_fixture> {
+    static void SetUpTestSuite() { load(video::ua_detrac_like(23, 60.0), 23, /*cameras=*/4); }
 
     /// The reliability cell every engine test traces: a 4x straggler under
     /// index-blind placement with flapping servers, a label-wait preemption
@@ -200,8 +193,6 @@ struct Obs_fixture : public ::testing::Test {
                                shards, obs);
     }
 };
-
-fleet::Testbed* Obs_fixture::testbed = nullptr;
 
 TEST_F(Obs_fixture, SinklessRunMatchesTracedRunResults) {
     // Observability must not perturb the simulation: the traced run's

@@ -473,38 +473,36 @@ struct Shoggoth_flush : public Pretrained_fixture<Shoggoth_flush> {
 };
 
 TEST_F(Shoggoth_flush, TailBufferIsUploadedAtStreamEnd) {
-    auto local_student = student->clone();
+    auto local_student = student().clone();
     core::Shoggoth_config config;
     config.adaptive_sampling = false;
     config.fixed_rate = 1.0;            // one sample per second: 23 ticks
     config.upload_batch_frames = 64;    // the buffer never fills...
     config.upload_max_wait = Sim_duration{1.0e6}; // ...max-wait never triggers,
     config.warm_replay = false;         // (keep the test fast)
-    core::Shoggoth_strategy strategy{*local_student, *teacher, config,
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(), device::v100()};
+    core::Shoggoth_strategy strategy{*local_student, teacher(), config, device::jetson_tx2(),
+                                     device::v100()};
     Harness_config harness;
     harness.eval_stride = 60;
-    (void)run_strategy(strategy, *stream, harness);
+    (void)run_strategy(strategy, stream(), harness);
     // Pre-fix: schedule_next_sample stops ticking near stream end and the
     // partially filled buffer was dropped without ever being uploaded.
     EXPECT_EQ(strategy.frames_uploaded(), 23u);
 }
 
 TEST_F(Shoggoth_flush, PartialBufferShipsAtMaxWaitNotAtTheNextTick) {
-    auto local_student = student->clone();
+    auto local_student = student().clone();
     core::Shoggoth_config config;
     config.adaptive_sampling = false;
     config.fixed_rate = 0.5;         // ticks every 2 s
     config.upload_batch_frames = 64; // size never triggers
     config.upload_max_wait = Sim_duration{3.0}; // flush timer mid-stream
     config.warm_replay = false;
-    core::Shoggoth_strategy strategy{*local_student, *teacher, config,
-                                     models::Deployed_profile::yolov4_resnet18(),
-                                     device::jetson_tx2(), device::v100()};
+    core::Shoggoth_strategy strategy{*local_student, teacher(), config, device::jetson_tx2(),
+                                     device::v100()};
     Harness_config harness;
     harness.eval_stride = 60;
-    (void)run_strategy(strategy, *stream, harness);
+    (void)run_strategy(strategy, stream(), harness);
     // Every sampled frame is eventually uploaded: ticks at 2,4,...,22.
     EXPECT_EQ(strategy.frames_uploaded(), 11u);
 }

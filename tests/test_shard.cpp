@@ -8,6 +8,7 @@
 // run_cluster_sharded with all workers joined.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -15,29 +16,66 @@
 #include <vector>
 
 #include "determinism_harness.hpp"
-#include "fleet/testbed.hpp"
-#include "sim/harness.hpp"
+#include "pretrained_fixture.hpp"
 #include "sim/shard.hpp"
-#include "video/presets.hpp"
 
 namespace shog::sim {
 namespace {
 
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 0}; // 0 = hardware concurrency
 
-// One testbed serves every differential test (construction dominates).
-struct Shard_fixture : public ::testing::Test {
-    static void SetUpTestSuite() {
-        testbed = new fleet::Testbed{fleet::make_testbed("ua_detrac", 4, 23, 30.0)};
-    }
-    static void TearDownTestSuite() {
-        delete testbed;
-        testbed = nullptr;
-    }
-    static fleet::Testbed* testbed;
+// One 4-camera testbed serves every differential test (construction
+// dominates).
+struct Shard_fixture : public Pretrained_fixture<Shard_fixture> {
+    static video::Dataset_preset preset() { return video::ua_detrac_like(23, 30.0); }
+    static void SetUpTestSuite() { load(preset(), 23, /*cameras=*/4); }
 };
 
-fleet::Testbed* Shard_fixture::testbed = nullptr;
+/// Everything a frame carries, compared exactly.
+bool same_frame(const video::Frame& a, const video::Frame& b) {
+    auto same_object = [](const video::Rendered_object& x, const video::Rendered_object& y) {
+        return x.object_id == y.object_id && x.class_id == y.class_id &&
+               x.box.x1 == y.box.x1 && x.box.y1 == y.box.y1 && x.box.x2 == y.box.x2 &&
+               x.box.y2 == y.box.y2 && *x.appearance == *y.appearance &&
+               x.occlusion == y.occlusion && x.scale == y.scale;
+    };
+    return a.index == b.index && a.timestamp == b.timestamp &&
+           a.domain.illumination == b.domain.illumination &&
+           a.domain.weather == b.domain.weather && a.domain.density == b.domain.density &&
+           a.domain.clutter == b.domain.clutter && a.motion_level == b.motion_level &&
+           a.complexity == b.complexity &&
+           std::equal(a.objects.begin(), a.objects.end(), b.objects.begin(), b.objects.end(),
+                      same_object);
+}
+
+TEST_F(Shard_fixture, CameraIIsThePresetStreamWithSeedPlusI) {
+    // make_testbed's camera i replays, frame for frame, the preset's stream
+    // built by hand with stream seed + i.
+    const video::Dataset_preset dataset = preset();
+    ASSERT_EQ(testbed->streams.size(), 4u);
+    for (std::size_t camera = 0; camera < testbed->streams.size(); ++camera) {
+        video::Stream_config config = dataset.stream;
+        config.seed += camera;
+        const video::Video_stream expected{config, dataset.world, dataset.schedule};
+        const video::Video_stream& actual = *testbed->streams[camera];
+        ASSERT_EQ(actual.frame_count(), expected.frame_count());
+        ASSERT_EQ(actual.track_count(), expected.track_count());
+        for (std::size_t i = 0; i < expected.frame_count(); ++i) {
+            ASSERT_TRUE(same_frame(actual.frame_at(i), expected.frame_at(i)))
+                << "camera " << camera << " frame " << i;
+        }
+    }
+}
+
+TEST_F(Shard_fixture, MixedFleetWrapsDevicesOntoCameras) {
+    // Six devices on four cameras: device i watches camera i mod 4, so
+    // devices 4 and 5 share cameras 0 and 1 instead of the build throwing.
+    const fleet::Fleet fleet = fleet::make_mixed_fleet(*testbed, 6, 0);
+    ASSERT_EQ(fleet.specs.size(), 6u);
+    for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
+        EXPECT_EQ(fleet.specs[i].stream, testbed->streams[i % 4].get()) << "device " << i;
+    }
+}
 
 TEST_F(Shard_fixture, ShardsOneMatchesRunClusterBitIdentically) {
     // The shards=1 pin: a single shard still runs the full protocol (worker

@@ -70,13 +70,11 @@ struct Scripted_fleet {
 
 struct Shard_stress : public ::testing::Test {
     static void SetUpTestSuite() {
-        preset = new video::Dataset_preset{video::ua_detrac_like(7, 6.0)};
-        stream = new video::Video_stream{preset->stream, preset->world, preset->schedule};
+        const video::Dataset_preset preset = video::ua_detrac_like(7, 6.0);
+        stream = std::make_unique<video::Video_stream>(preset.stream, preset.world,
+                                                       preset.schedule);
     }
-    static void TearDownTestSuite() {
-        delete stream;
-        delete preset;
-    }
+    static void TearDownTestSuite() { stream.reset(); }
 
     /// `devices` chatterers; every device index d with d % 17 == 3 becomes a
     /// timer bomb instead when `bombs` is set.
@@ -88,17 +86,14 @@ struct Shard_stress : public ::testing::Test {
             } else {
                 fleet.strategies.push_back(std::make_unique<Chatter_strategy>());
             }
-            fleet.specs.push_back(Device_spec{fleet.strategies.back().get(), stream, {}});
+            fleet.specs.push_back(
+                Device_spec{fleet.strategies.back().get(), stream.get(), {}});
         }
         return fleet;
     }
 
-    static video::Dataset_preset* preset;
-    static video::Video_stream* stream;
+    static inline std::unique_ptr<video::Video_stream> stream;
 };
-
-video::Dataset_preset* Shard_stress::preset = nullptr;
-video::Video_stream* Shard_stress::stream = nullptr;
 
 TEST_F(Shard_stress, ManyTinyShardsMatchSequentialForEveryShardCount) {
     // 24 chattering devices split ever finer — down to one device per

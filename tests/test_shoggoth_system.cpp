@@ -18,12 +18,10 @@ struct System_fixture : public Pretrained_fixture<System_fixture> {
 
     std::pair<sim::Run_result, std::unique_ptr<Shoggoth_strategy>> run(
         Shoggoth_config cfg) {
-        auto local_student = student->clone();
+        auto local_student = student().clone();
         auto strategy = std::make_unique<Shoggoth_strategy>(
-            *local_student, *teacher, std::move(cfg),
-            models::Deployed_profile::yolov4_resnet18(), device::jetson_tx2(),
-            device::v100());
-        sim::Run_result r = sim::run_strategy(*strategy, *stream, harness);
+            *local_student, teacher(), std::move(cfg), device::jetson_tx2(), device::v100());
+        sim::Run_result r = sim::run_strategy(*strategy, stream(), harness);
         students.push_back(std::move(local_student)); // keep alive with the strategy
         return {std::move(r), std::move(strategy)};
     }
@@ -123,7 +121,7 @@ TEST_F(System_fixture, CloudGpuTimeIsLabelingOnly) {
     // close to frames_labeled * 0.04 s, far below stream duration.
     const double expected = static_cast<double>(strategy->frames_labeled()) * 0.04;
     EXPECT_NEAR(r.cloud_gpu_seconds, expected, 0.5 * expected + 1.0);
-    EXPECT_LT(r.cloud_gpu_seconds, 0.3 * stream->duration());
+    EXPECT_LT(r.cloud_gpu_seconds, 0.3 * stream().duration());
 }
 
 class SessionTrigger : public System_fixture,
@@ -131,12 +129,11 @@ class SessionTrigger : public System_fixture,
 
 TEST_P(SessionTrigger, MoreFramesPerSessionMeansFewerSessions) {
     Shoggoth_config cfg;
-    cfg.adaptive_sampling = false; // fixed 2 fps so supply is constant
-    cfg.fixed_rate = 2.0;
+    cfg.adaptive_sampling = false; // fixed 2 fps (the default rate) so supply is constant
     cfg.frames_per_session = GetParam();
     auto [r, strategy] = run(std::move(cfg));
     // Upper bound: total sampled frames / frames_per_session.
-    const double sampled = 2.0 * stream->duration();
+    const double sampled = 2.0 * stream().duration();
     EXPECT_LE(static_cast<double>(r.training_sessions),
               sampled / static_cast<double>(GetParam()) + 1.0);
 }

@@ -19,8 +19,8 @@ struct Sim_fixture : public Pretrained_fixture<Sim_fixture> {
 };
 
 TEST_F(Sim_fixture, EdgeOnlyUsesNoNetwork) {
-    baselines::Edge_only_strategy strategy{*student};
-    const Run_result r = run_strategy(strategy, *stream, config);
+    baselines::Edge_only_strategy strategy{student()};
+    const Run_result r = run_strategy(strategy, stream(), config);
     EXPECT_EQ(r.strategy, "Edge-Only");
     EXPECT_DOUBLE_EQ(r.up_kbps, 0.0);
     EXPECT_DOUBLE_EQ(r.down_kbps, 0.0);
@@ -33,18 +33,18 @@ TEST_F(Sim_fixture, EdgeOnlyUsesNoNetwork) {
 }
 
 TEST_F(Sim_fixture, EdgeOnlyDeterministic) {
-    baselines::Edge_only_strategy s1{*student};
-    const Run_result r1 = run_strategy(s1, *stream, config);
-    baselines::Edge_only_strategy s2{*student};
-    const Run_result r2 = run_strategy(s2, *stream, config);
+    baselines::Edge_only_strategy s1{student()};
+    const Run_result r1 = run_strategy(s1, stream(), config);
+    baselines::Edge_only_strategy s2{student()};
+    const Run_result r2 = run_strategy(s2, stream(), config);
     EXPECT_DOUBLE_EQ(r1.map, r2.map);
     EXPECT_DOUBLE_EQ(r1.average_iou, r2.average_iou);
     EXPECT_EQ(r1.evaluated_frames, r2.evaluated_frames);
 }
 
 TEST_F(Sim_fixture, CloudOnlyMetersBothDirections) {
-    baselines::Cloud_only_strategy strategy{*teacher, device::v100()};
-    const Run_result r = run_strategy(strategy, *stream, config);
+    baselines::Cloud_only_strategy strategy{teacher(), device::v100()};
+    const Run_result r = run_strategy(strategy, stream(), config);
     EXPECT_GT(r.up_kbps, 1000.0);   // a full 30 fps video stream
     EXPECT_GT(r.down_kbps, r.up_kbps); // annotated frames cost a bit more
     EXPECT_LT(r.average_fps, 12.0);    // synchronous pipeline
@@ -53,24 +53,24 @@ TEST_F(Sim_fixture, CloudOnlyMetersBothDirections) {
 }
 
 TEST_F(Sim_fixture, CloudOnlyBeatsEdgeOnlyAccuracy) {
-    baselines::Edge_only_strategy edge{*student};
-    const Run_result edge_result = run_strategy(edge, *stream, config);
-    baselines::Cloud_only_strategy cloud{*teacher, device::v100()};
-    const Run_result cloud_result = run_strategy(cloud, *stream, config);
+    baselines::Edge_only_strategy edge{student()};
+    const Run_result edge_result = run_strategy(edge, stream(), config);
+    baselines::Cloud_only_strategy cloud{teacher(), device::v100()};
+    const Run_result cloud_result = run_strategy(cloud, stream(), config);
     EXPECT_GT(cloud_result.map, edge_result.map + 0.05);
 }
 
 TEST_F(Sim_fixture, WindowedSeriesCoverStream) {
-    baselines::Edge_only_strategy strategy{*student};
-    const Run_result r = run_strategy(strategy, *stream, config);
+    baselines::Edge_only_strategy strategy{student()};
+    const Run_result r = run_strategy(strategy, stream(), config);
     ASSERT_FALSE(r.windowed_map.empty());
     EXPECT_NEAR(static_cast<double>(r.windowed_map.size()),
-                stream->duration() / config.map_window.value(), 1.0); // raw window count
+                stream().duration() / config.map_window.value(), 1.0); // raw window count
     for (const auto& [start, value] : r.windowed_map) {
         EXPECT_GE(value, 0.0);
         EXPECT_LE(value, 1.0);
         EXPECT_GE(start, 0.0);
-        EXPECT_LT(start, stream->duration());
+        EXPECT_LT(start, stream().duration());
     }
     // Headline mAP is the mean of the windows.
     double total = 0.0;
@@ -81,10 +81,10 @@ TEST_F(Sim_fixture, WindowedSeriesCoverStream) {
 }
 
 TEST_F(Sim_fixture, WindowedGainAlignsWindows) {
-    baselines::Edge_only_strategy s1{*student};
-    const Run_result a = run_strategy(s1, *stream, config);
-    baselines::Edge_only_strategy s2{*student};
-    const Run_result b = run_strategy(s2, *stream, config);
+    baselines::Edge_only_strategy s1{student()};
+    const Run_result a = run_strategy(s1, stream(), config);
+    baselines::Edge_only_strategy s2{student()};
+    const Run_result b = run_strategy(s2, stream(), config);
     const std::vector<double> gains = windowed_gain(a, b);
     ASSERT_EQ(gains.size(), a.windowed_map.size());
     for (double g : gains) {
@@ -93,10 +93,10 @@ TEST_F(Sim_fixture, WindowedGainAlignsWindows) {
 }
 
 TEST_F(Sim_fixture, FpsTimelineMatchesDuration) {
-    baselines::Edge_only_strategy strategy{*student};
-    const Run_result r = run_strategy(strategy, *stream, config);
+    baselines::Edge_only_strategy strategy{student()};
+    const Run_result r = run_strategy(strategy, stream(), config);
     ASSERT_FALSE(r.fps_timeline.empty());
-    EXPECT_LE(r.fps_timeline.back().first, stream->duration());
+    EXPECT_LE(r.fps_timeline.back().first, stream().duration());
 }
 
 } // namespace

@@ -295,8 +295,10 @@ TEST(Stream, EgoMotionRaisesMotionLevel) {
 // -------------------------------------------------------------- presets ----
 
 TEST(Presets, AllThreeConstruct) {
-    for (const char* name : {"ua_detrac", "kitti", "waymo"}) {
+    ASSERT_EQ(preset_names.size(), 3u);
+    for (const char* name : preset_names) {
         const Dataset_preset p = preset_by_name(name, 42, 120.0);
+        EXPECT_STREQ(p.name, name); // the listed name is the preset's own
         Video_stream stream{p.stream, p.world, p.schedule};
         EXPECT_GT(stream.frame_count(), 0u);
         EXPECT_GT(stream.track_count(), 0u);
