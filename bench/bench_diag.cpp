@@ -1,6 +1,12 @@
 // Mechanism diagnostics (not a paper artifact): isolates each link of the
 // adaptive-online-learning chain so calibration problems are attributable.
+//
+//   bench_diag
+//
+// Runs on a 300 s UA-DETRAC-like stream (seed 2023), long enough to cross
+// the schedule's first night span (about t=205..283 s).
 #include <iostream>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "core/adaptive_trainer.hpp"
@@ -36,14 +42,42 @@ double domain_accuracy(models::Detector& det, const video::World_model& world,
     return models::classifier_accuracy(det, ds);
 }
 
+// First time on a 5 s grid inside the stream at which the schedule is night.
+std::optional<double> find_night(const video::Video_stream& stream) {
+    for (double t = 0.0; t < stream.duration(); t += 5.0) {
+        if (stream.schedule().at(t).illumination < 0.2) {
+            return t;
+        }
+    }
+    return std::nullopt;
+}
+
+// Up to `count` frame indices `stride` apart from time t on, all inside the
+// stream.
+std::vector<std::size_t> frames_from(const video::Video_stream& stream, double t,
+                                     std::size_t count, std::size_t stride) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = stream.index_at(t); i < stream.frame_count() && indices.size() < count;
+         i += stride) {
+        indices.push_back(i);
+    }
+    return indices;
+}
+
 } // namespace
 
 int main() {
     const std::uint64_t seed = 2023;
-    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, 200.0);
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, 300.0);
     const sim::Harness_config harness = benchutil::paper_harness(seed);
     const video::Video_stream& stream = *tb.streams.front();
     const video::World_model& world = stream.world();
+    const std::optional<double> night = find_night(stream);
+    if (!night) {
+        std::cerr << "bench_diag: the stream never reaches night\n";
+        return 1;
+    }
+    const double night_t = *night;
 
     std::cout << "--- classifier accuracy by domain (before adaptation) ---\n";
     for (auto [name, dom] : {std::pair{"day_sunny", video::day_sunny(0.6)},
@@ -57,21 +91,13 @@ int main() {
 
     std::cout << "--- teacher label quality on night frames ---\n";
     {
-        // Find a night span: DETRAC schedule night segment.
-        double night_t = 0.0;
-        for (double t = 0.0; t < 600.0; t += 5.0) {
-            if (stream.schedule().at(t).illumination < 0.2) {
-                night_t = t;
-                break;
-            }
-        }
         std::cout << "  night at t=" << night_t << "\n";
         auto student = tb.pristine->clone();
         core::Online_labeler labeler{*tb.teacher};
         Rng rng{99};
         std::size_t pos = 0, pos_correct = 0, neg = 0, total_gt = 0;
-        for (std::size_t k = 0; k < 40; ++k) {
-            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 15);
+        for (const std::size_t index : frames_from(stream, night_t, 40, 15)) {
+            const video::Frame f = stream.frame_at(index);
             const auto proposals = student->propose(f, world);
             const auto labeled = labeler.label(f, world, proposals, rng);
             total_gt += f.objects.size();
@@ -118,11 +144,10 @@ int main() {
         auto student = tb.pristine->clone();
         core::Online_labeler labeler{*tb.teacher};
         Rng rng{77};
-        double night_t = 225.0;
         std::vector<std::size_t> label_hist(world.num_classes() + 1, 0);
         std::vector<std::size_t> gt_hist(world.num_classes() + 1, 0);
-        for (std::size_t k = 0; k < 40; ++k) {
-            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 15);
+        for (const std::size_t index : frames_from(stream, night_t, 40, 15)) {
+            const video::Frame f = stream.frame_at(index);
             for (const auto& obj : f.objects) {
                 ++gt_hist[obj.class_id];
             }
@@ -183,17 +208,13 @@ int main() {
         // Collect teacher-labeled night samples exactly like the system does.
         core::Online_labeler labeler{*tb.teacher};
         Rng rng{123};
-        double night_t = 0.0;
-        for (double t = 0.0; t < 600.0; t += 5.0) {
-            if (stream.schedule().at(t).illumination < 0.2) {
-                night_t = t;
-                break;
-            }
-        }
         std::vector<models::Labeled_sample> batch;
         std::size_t k = 0;
-        while (batch.size() < 600 && k < 1500) {
-            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 7);
+        for (const std::size_t index : frames_from(stream, night_t, 1500, 7)) {
+            if (batch.size() >= 600) {
+                break;
+            }
+            const video::Frame f = stream.frame_at(index);
             const auto proposals = student->propose(f, world);
             auto labeled = labeler.label(f, world, proposals, rng);
             for (auto& s : labeled.samples) {

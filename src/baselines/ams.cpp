@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "models/pretrain.hpp"
-
 namespace shog::baselines {
 
 sim::Cloud_runtime::Resume_replan make_resume_planner(std::vector<Sim_time> sample_at,
@@ -28,10 +26,12 @@ sim::Cloud_runtime::Resume_replan make_resume_planner(std::vector<Sim_time> samp
 }
 
 Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
-                           Ams_config config, device::Compute_model cloud_device)
+                           Ams_config config, device::Compute_model cloud_device,
+                           std::shared_ptr<core::Warm_start_memo> warm_memo)
     : student_{student},
       cloud_copy_{student.clone()},
       config_{std::move(config)},
+      warm_memo_{std::move(warm_memo)},
       labeler_{teacher, config_.labeler},
       controller_{config_.controller, config_.initial_rate},
       resource_monitor_{Sim_duration{1.0}},
@@ -45,14 +45,11 @@ Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
 void Ams_strategy::start(sim::Edge_runtime& rt) {
     // Per-device labeling-noise substream (see Shoggoth_strategy::start).
     label_rng_ = rt.rng().split(0x1abe1);
-    if (config_.warm_replay && cloud_trainer_->memory().enabled()) {
-        models::Pretrain_config warm_cfg;
-        warm_cfg.domains = models::daytime_domains();
-        warm_cfg.samples = config_.warm_samples;
-        warm_cfg.seed = config_.trainer.seed ^ 0xab;
-        cloud_trainer_->warm_start(
-            models::synth_dataset(rt.stream().world(), student_.config(), warm_cfg));
+    SHOG_REQUIRE(warm_memo_ != nullptr, "a strategy starts once, with a warm-start memo");
+    if (config_.warm_replay) {
+        cloud_trainer_->warm_start(rt.stream().world(), config_.warm_samples, *warm_memo_);
     }
+    warm_memo_.reset(); // see Shoggoth_strategy::start
     schedule_next_sample(rt);
 }
 

@@ -59,8 +59,12 @@ struct Ams_config {
 
 class Ams_strategy final : public sim::Strategy {
 public:
+    /// `warm_memo` as for core::Shoggoth_strategy: one per fleet's AMS
+    /// devices, a private one by default.
     Ams_strategy(models::Detector& student, models::Detector& teacher, Ams_config config,
-                 device::Compute_model cloud_device);
+                 device::Compute_model cloud_device,
+                 std::shared_ptr<core::Warm_start_memo> warm_memo =
+                     std::make_shared<core::Warm_start_memo>());
 
     [[nodiscard]] std::string name() const override { return "AMS"; }
     void start(sim::Edge_runtime& rt) override;
@@ -70,6 +74,11 @@ public:
                       const std::vector<detect::Detection>& detections) override;
 
     [[nodiscard]] std::size_t model_updates_sent() const noexcept { return updates_sent_; }
+    /// Fine-tunes the cloud copy of the student; its replay memory holds
+    /// raw inputs.
+    [[nodiscard]] const core::Adaptive_trainer& cloud_trainer() const noexcept {
+        return *cloud_trainer_;
+    }
     [[nodiscard]] const core::Sampling_controller& controller() const noexcept {
         return controller_;
     }
@@ -83,6 +92,7 @@ private:
     Ams_config config_;
     const models::Deployed_profile profile_ = models::Deployed_profile::yolov4_resnet18();
     std::unique_ptr<core::Adaptive_trainer> cloud_trainer_;
+    std::shared_ptr<core::Warm_start_memo> warm_memo_; ///< dropped by start()
     core::Online_labeler labeler_;
     core::Sampling_controller controller_;
     device::Resource_monitor resource_monitor_;

@@ -119,6 +119,9 @@ public:
         return pool;
     }
 
+    /// Same state: both streams draw identical values from here on.
+    bool operator==(const Rng&) const = default;
+
     /// In-place Fisher-Yates shuffle.
     template <typename T>
     void shuffle(std::vector<T>& items) {

@@ -1,6 +1,7 @@
 #include "core/adaptive_trainer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "nn/batchnorm.hpp"
@@ -289,6 +290,56 @@ void Adaptive_trainer::warm_start(const std::vector<models::Labeled_sample>& sam
     }
     const std::vector<Replay_sample> latents = latent_batch(samples);
     memory_.update_after_training(latents, rng_);
+}
+
+const Warm_start_memo::Result* Warm_start_memo::find(const Key& key) const {
+    for (const auto& [entry_key, result] : entries_) {
+        if (entry_key == key) {
+            return &result;
+        }
+    }
+    return nullptr;
+}
+
+void Warm_start_memo::insert(Key key, Result result) {
+    entries_.emplace_back(std::move(key), std::move(result));
+}
+
+void Adaptive_trainer::warm_start(const video::World_model& world, std::size_t samples,
+                                  Warm_start_memo& memo) {
+    SHOG_REQUIRE(sessions_ == 0 && memory_.training_runs() == 0,
+                 "the deployed warm start runs once, before online sessions");
+    if (!memory_.enabled()) {
+        return;
+    }
+    models::Detector_net& net = detector_.net();
+    models::Pretrain_config warm;
+    warm.domains = models::daytime_domains();
+    warm.samples = samples;
+    warm.seed = config_.seed ^ 0xab;
+    std::vector<std::uint64_t> state_bits;
+    for (const double v : net.state_vector()) {
+        state_bits.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    Warm_start_memo::Key key{.world = world.config(),
+                             .detector = detector_.config(),
+                             .warm = std::move(warm),
+                             .cut = cut_,
+                             .front_stats_adapt = config_.front_stats_adapt,
+                             .minibatch = config_.minibatch,
+                             .front_stats_momentum = config_.front_stats_momentum,
+                             .replay_capacity = config_.replay_capacity,
+                             .rng = rng_,
+                             .state_bits = std::move(state_bits)};
+    if (const Warm_start_memo::Result* hit = memo.find(key)) {
+        net.load_state_vector(hit->state);
+        memory_ = hit->memory;
+        rng_ = hit->rng;
+        return;
+    }
+    warm_start(models::synth_dataset(world, detector_.config(), key.warm));
+    memory_.share();
+    memo.insert(std::move(key), Warm_start_memo::Result{memory_, rng_, net.state_vector()});
 }
 
 Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample>& all_fresh) {

@@ -32,7 +32,9 @@
 #include "device/compute.hpp"
 #include "models/deployed.hpp"
 #include "models/detector.hpp"
+#include "models/pretrain.hpp"
 #include "models/samples.hpp"
+#include "video/world.hpp"
 
 namespace shog::nn {
 class Sgd;
@@ -102,6 +104,61 @@ struct Training_report {
     }
 };
 
+/// Warm starts already computed, for the trainers of one fleet to share
+/// (Adaptive_trainer::warm_start(world, samples, memo)). Every Shoggoth or
+/// AMS device of a fleet seeds its replay memory from the same daytime set
+/// through the same pristine weights, so the first device computes the warm
+/// start and the others adopt its result: the replay memory as a
+/// copy-on-write share of one immutable base, the detector state and the
+/// trainer RNG bit for bit.
+///
+/// An entry is reused only by a trainer whose every input to the warm start
+/// equals the inputs that produced it (Key); on any difference the trainer
+/// computes afresh and adds an entry. The strategies hold the memo until
+/// their start() and then drop it, so it dies with the fleet's start loop
+/// and keeps no base alive after the devices detach from it.
+///
+/// Not thread-safe. Both engines call Strategy::start() serially in device
+/// order (sim::run_cluster and sim::run_cluster_sharded start every device
+/// before the first event), so the memo needs no lock; starting devices on
+/// worker threads would need one.
+class Warm_start_memo {
+public:
+    /// Everything a warm start reads.
+    struct Key {
+        video::World_config world;        ///< draws the samples (synth_dataset)
+        models::Detector_config detector; ///< the sensor model of the samples
+        models::Pretrain_config warm;     ///< domains, count and seed of the set
+        // The trainer's latent pass and memory update.
+        std::size_t cut = 0;
+        bool front_stats_adapt = true;
+        std::size_t minibatch = 0;
+        double front_stats_momentum = 0.0;
+        std::size_t replay_capacity = 0;
+        Rng rng{0};
+        /// The detector's Detector_net::state_vector(), bit for bit (so
+        /// -0.0 and 0.0 differ).
+        std::vector<std::uint64_t> state_bits;
+
+        bool operator==(const Key&) const = default;
+    };
+    /// What a warm start leaves behind.
+    struct Result {
+        Replay_memory memory; ///< its samples a shared base (Replay_memory::share)
+        Rng rng;
+        /// The detector's state after: a training-mode latent pass
+        /// (front_stats_adapt, cut > 0) moves the front running statistics.
+        std::vector<double> state;
+    };
+
+    [[nodiscard]] const Result* find(const Key& key) const;
+    void insert(Key key, Result result);
+    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+private:
+    std::vector<std::pair<Key, Result>> entries_;
+};
+
 class Adaptive_trainer {
 public:
     /// The trainer mutates `detector` in place; `device` prices the session
@@ -118,6 +175,15 @@ public:
     /// initialize the memory from the pretraining set so the first online
     /// session already rehearses the base domain.
     void warm_start(const std::vector<models::Labeled_sample>& samples);
+
+    /// The deployed warm start (paper §III-B): seed the memory with
+    /// `samples` synthesized daytime samples of `world` (the students'
+    /// pretraining domains, seed `config().seed ^ 0xab`). Adopts `memo`'s
+    /// result when one matches this trainer, else computes it and adds it
+    /// to `memo`; the detector state, memory and RNG come out bit-identical
+    /// either way. Must run once, before any session.
+    void warm_start(const video::World_model& world, std::size_t samples,
+                    Warm_start_memo& memo);
 
     /// Deployed-model cost (seconds) of a session with the given sizes —
     /// usable without running one (the fps model uses it for scheduling).

@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "models/pretrain.hpp"
-
 namespace shog::core {
 
 Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
                                      Shoggoth_config config,
                                      device::Compute_model edge_device,
-                                     device::Compute_model cloud_device)
+                                     device::Compute_model cloud_device,
+                                     std::shared_ptr<Warm_start_memo> warm_memo)
     : student_{student},
       config_{std::move(config)},
       trainer_{student, config_.trainer, std::move(edge_device)},
+      warm_memo_{std::move(warm_memo)},
       labeler_{teacher, config_.labeler},
       controller_{config_.controller, config_.initial_rate},
       resource_monitor_{Sim_duration{1.0}},
@@ -33,14 +33,12 @@ void Shoggoth_strategy::start(sim::Edge_runtime& rt) {
     // Decorrelate this device's labeling noise from the rest of the fleet
     // (every device would otherwise draw the same stream of label jitter).
     label_rng_ = rt.rng().split(0x1abe1);
-    if (config_.warm_replay && trainer_.memory().enabled()) {
-        models::Pretrain_config warm_cfg;
-        warm_cfg.domains = models::daytime_domains();
-        warm_cfg.samples = config_.warm_samples;
-        warm_cfg.seed = config_.trainer.seed ^ 0xab;
-        trainer_.warm_start(
-            models::synth_dataset(rt.stream().world(), student_.config(), warm_cfg));
+    SHOG_REQUIRE(warm_memo_ != nullptr, "a strategy starts once, with a warm-start memo");
+    if (config_.warm_replay) {
+        trainer_.warm_start(rt.stream().world(), config_.warm_samples, *warm_memo_);
     }
+    // Devices not yet started still hold the memo; the last start frees it.
+    warm_memo_.reset();
     schedule_next_sample(rt);
 }
 

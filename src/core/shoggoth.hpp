@@ -74,10 +74,14 @@ struct Shoggoth_config {
 class Shoggoth_strategy final : public sim::Strategy {
 public:
     /// `student` runs at the edge (mutated by training); `teacher` labels in
-    /// the cloud. Both borrowed; the caller keeps them alive.
+    /// the cloud. Both borrowed; the caller keeps them alive. A fleet hands
+    /// every Shoggoth device one `warm_memo` so that the warm start runs
+    /// once (see Warm_start_memo); a lone strategy gets its own.
     Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
                       Shoggoth_config config, device::Compute_model edge_device,
-                      device::Compute_model cloud_device);
+                      device::Compute_model cloud_device,
+                      std::shared_ptr<Warm_start_memo> warm_memo =
+                          std::make_shared<Warm_start_memo>());
 
     [[nodiscard]] std::string name() const override {
         return config_.adaptive_sampling ? "Shoggoth" : "Prompt";
@@ -116,6 +120,7 @@ private:
     models::Detector& student_;
     Shoggoth_config config_;
     Adaptive_trainer trainer_;
+    std::shared_ptr<Warm_start_memo> warm_memo_; ///< dropped by start()
     Online_labeler labeler_;
     Sampling_controller controller_;
     device::Resource_monitor resource_monitor_;

@@ -105,14 +105,17 @@ void assign_heterogeneous_hardware(Fleet& fleet, const std::vector<Edge_class>& 
 
 namespace {
 
-/// `factory(student, device_index)` builds one device's strategy around its
-/// cloned student (the index lets heterogeneous fleets pick per-device
-/// hardware at construction time). Device i watches stream i mod cameras:
-/// the city-scale fleets reuse a camera pool far smaller than the fleet so
-/// stream construction stays O(cameras), not O(devices).
+/// `factory(student, device_index, warm_memo)` builds one device's strategy
+/// around its cloned student (the index lets heterogeneous fleets pick
+/// per-device hardware at construction time). All devices of one factory
+/// share one core::Warm_start_memo, so their start() computes the warm
+/// start once. Device i watches stream i mod cameras: the city-scale fleets
+/// reuse a camera pool far smaller than the fleet so stream construction
+/// stays O(cameras), not O(devices).
 template <typename Factory>
 void grow_fleet(Fleet& fleet, const Testbed& testbed, std::size_t devices,
                 Factory&& factory) {
+    const auto warm_memo = std::make_shared<core::Warm_start_memo>();
     for (std::size_t i = 0; i < devices; ++i) {
         const std::size_t device = fleet.specs.size();
         const std::size_t camera = device % testbed.streams.size();
@@ -120,7 +123,7 @@ void grow_fleet(Fleet& fleet, const Testbed& testbed, std::size_t devices,
         // The factory keys off the device position (not the camera) so the
         // per-device edge-class cycle stays aligned with
         // assign_heterogeneous_hardware even when cameras wrap.
-        fleet.strategies.push_back(factory(*fleet.students.back(), device));
+        fleet.strategies.push_back(factory(*fleet.students.back(), device, warm_memo));
         fleet.specs.push_back(sim::Device_spec{fleet.strategies.back().get(),
                                                testbed.streams[camera].get(),
                                                {}});
@@ -141,21 +144,23 @@ auto shoggoth_factory(models::Detector& teacher, core::Shoggoth_config config,
     // With edge classes, device i trains on its own accelerator (the trainer
     // prices session wall time from it); without, every device is a TX2.
     return [&teacher, config = std::move(config), cloud_device = std::move(cloud_device),
-            classes = std::move(classes)](models::Detector& student, std::size_t i) {
+            classes = std::move(classes)](models::Detector& student, std::size_t i,
+                                          std::shared_ptr<core::Warm_start_memo> warm_memo) {
         const device::Compute_model edge =
             classes.empty() ? device::jetson_tx2() : classes[i % classes.size()].device;
         return std::make_unique<core::Shoggoth_strategy>(student, teacher, config, edge,
-                                                         cloud_device);
+                                                         cloud_device, std::move(warm_memo));
     };
 }
 
 auto ams_factory(models::Detector& teacher, baselines::Ams_config config,
                  device::Compute_model cloud_device) {
     return [&teacher, config = std::move(config),
-            cloud_device = std::move(cloud_device)](models::Detector& student,
-                                                    std::size_t) {
+            cloud_device = std::move(cloud_device)](
+               models::Detector& student, std::size_t,
+               std::shared_ptr<core::Warm_start_memo> warm_memo) {
         return std::make_unique<baselines::Ams_strategy>(student, teacher, config,
-                                                         cloud_device);
+                                                         cloud_device, std::move(warm_memo));
     };
 }
 

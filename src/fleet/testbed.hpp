@@ -99,6 +99,13 @@ struct Edge_class {
 /// One runnable fleet: owns the per-device students and strategies backing
 /// `specs`. Keep it alive across run_cluster.
 ///
+/// The strategies of one kind (the Shoggoth devices, the AMS devices) share
+/// one core::Warm_start_memo until they start: the first device's start()
+/// computes the warm replay set and every other device adopts it as a
+/// copy-on-write share (see Warm_start_memo). The work stays in start(),
+/// so building a fleet stays cheap, and the memo needs no lock because the
+/// engines start devices serially.
+///
 /// The fleet also owns a deep copy of the testbed's teacher: detect() runs
 /// through mutable network state, so sweep cells sharing one teacher would
 /// race when sim::run_sweep runs them on parallel workers. Teacher

@@ -48,6 +48,8 @@ struct Detector_config {
     double box_jitter = 0.07;        ///< proposal localization noise (relative)
 
     std::uint64_t seed = 7;
+
+    bool operator==(const Detector_config&) const = default;
 };
 
 /// The neural network half of a detector.

@@ -26,6 +26,8 @@ struct Pretrain_config {
     double weight_decay = 1e-4;
     double box_loss_weight = 1.0;
     std::uint64_t seed = 42;
+
+    bool operator==(const Pretrain_config&) const = default;
 };
 
 /// Draw a labeled synthetic region dataset for the given detector's sensor

@@ -25,6 +25,8 @@ struct Domain {
     Weather weather = Weather::sunny;
     double density = 0.5; ///< traffic density scale in [0, 1]
     double clutter = 0.3; ///< background clutter level in [0, 1]
+
+    bool operator==(const Domain&) const = default;
 };
 
 /// A perceptual distance between domains; drives drift-rate measurement and

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "bit_images.hpp"
 #include "core/adaptive_trainer.hpp"
 #include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
@@ -13,6 +14,9 @@
 
 namespace shog::core {
 namespace {
+
+using shog::testing::bits;
+using shog::testing::memory_bits;
 
 struct Trainer_fixture : public ::testing::Test {
     static void SetUpTestSuite() {
@@ -285,6 +289,119 @@ TEST_F(Trainer_fixture, WarmStartFillsMemory) {
     // Latents have the pool width, not the raw feature width.
     EXPECT_EQ(trainer.memory().at(0).activation.size(),
               student->net().width_at_cut(student->net().cut_after("pool")));
+}
+
+/// A trainer that adopts a memo's warm start ends bit-identical to the one
+/// that computed it, and stays so through one identical session (which
+/// pins the trainer RNG as well).
+void expect_shared_equals_computed(const video::World_model& world,
+                                   const models::Detector& pristine, Trainer_config cfg,
+                                   std::vector<models::Labeled_sample> session) {
+    cfg.seed = 77;
+    const auto computing_student = pristine.clone();
+    const auto adopting_student = pristine.clone();
+    Adaptive_trainer computing{*computing_student, cfg, device::jetson_tx2()};
+    Adaptive_trainer adopting{*adopting_student, cfg, device::jetson_tx2()};
+    Warm_start_memo memo;
+    computing.warm_start(world, 600, memo);
+    ASSERT_EQ(memo.size(), 1u);
+    // Another World_model built from the same config, as each camera has.
+    const video::World_model same_world{world.config()};
+    adopting.warm_start(same_world, 600, memo);
+    EXPECT_EQ(memo.size(), 1u) << "a matching trainer must reuse the entry";
+
+    EXPECT_EQ(bits(adopting_student->net().state_vector()),
+              bits(computing_student->net().state_vector()));
+    EXPECT_EQ(memory_bits(adopting.memory()), memory_bits(computing.memory()));
+    EXPECT_EQ(&adopting.memory().samples(), &computing.memory().samples())
+        << "the adopted memory shares the computed base";
+
+    (void)computing.train(session);
+    (void)adopting.train(session);
+    EXPECT_EQ(bits(adopting_student->net().state_vector()),
+              bits(computing_student->net().state_vector()));
+    EXPECT_EQ(memory_bits(adopting.memory()), memory_bits(computing.memory()));
+}
+
+TEST_F(Trainer_fixture, SharedWarmStartEqualsComputedLatentReplay) {
+    // Latent replay moves the front running statistics while it computes
+    // the warm latents: a shared warm start must carry that change along.
+    const auto probe = pristine->clone();
+    Adaptive_trainer trainer{*probe, ours_config(), device::jetson_tx2()};
+    Warm_start_memo memo;
+    trainer.warm_start(*world, 600, memo);
+    EXPECT_NE(bits(probe->net().state_vector()), bits(pristine->net().state_vector()));
+
+    expect_shared_equals_computed(*world, *pristine, ours_config(),
+                                  domain_samples(video::night(0.5), 200, 63));
+}
+
+TEST_F(Trainer_fixture, SharedWarmStartEqualsComputedInputReplay) {
+    // Input replay (AMS) stores raw features and leaves the student as is.
+    const auto probe = pristine->clone();
+    Adaptive_trainer trainer{*probe, input_replay_config(), device::jetson_tx2()};
+    Warm_start_memo memo;
+    trainer.warm_start(*world, 600, memo);
+    EXPECT_EQ(bits(probe->net().state_vector()), bits(pristine->net().state_vector()));
+
+    expect_shared_equals_computed(*world, *pristine, input_replay_config(),
+                                  domain_samples(video::night(0.5), 200, 64));
+}
+
+TEST_F(Trainer_fixture, SharedWarmStartEqualsExplicitWarmStart) {
+    // The memoized warm start is the deployed recipe: the daytime domains,
+    // seed `seed ^ 0xab`, through the sample-list warm_start.
+    const auto explicit_student = pristine->clone();
+    Adaptive_trainer explicit_trainer{*explicit_student, ours_config(), device::jetson_tx2()};
+    models::Pretrain_config warm;
+    warm.domains = models::daytime_domains();
+    warm.samples = 600;
+    warm.seed = ours_config().seed ^ 0xab;
+    explicit_trainer.warm_start(models::synth_dataset(*world, explicit_student->config(), warm));
+
+    Adaptive_trainer memo_trainer{*student, ours_config(), device::jetson_tx2()};
+    Warm_start_memo memo;
+    memo_trainer.warm_start(*world, 600, memo);
+    EXPECT_EQ(bits(student->net().state_vector()), bits(explicit_student->net().state_vector()));
+    EXPECT_EQ(memory_bits(memo_trainer.memory()), memory_bits(explicit_trainer.memory()));
+}
+
+TEST_F(Trainer_fixture, WarmStartMemoMissesOnOtherInputs) {
+    // Each trainer below differs from the first in one input only.
+    Trainer_config cfg = ours_config();
+    cfg.seed = 77;
+    Warm_start_memo memo;
+    Adaptive_trainer first{*student, cfg, device::jetson_tx2()};
+    first.warm_start(*world, 600, memo);
+    ASSERT_EQ(memo.size(), 1u);
+
+    // A different sample count computes its own entry.
+    const auto other_count = pristine->clone();
+    Adaptive_trainer counted{*other_count, cfg, device::jetson_tx2()};
+    counted.warm_start(*world, 500, memo);
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(counted.memory().size(), 500u);
+
+    // So does a student whose state differs: one session trained.
+    const auto trained = pristine->clone();
+    Adaptive_trainer session_trainer{*trained, cfg, device::jetson_tx2()};
+    (void)session_trainer.train(domain_samples(video::night(0.5), 200, 65));
+    Adaptive_trainer after_session{*trained, cfg, device::jetson_tx2()};
+    after_session.warm_start(*world, 600, memo);
+    EXPECT_EQ(memo.size(), 3u);
+    EXPECT_NE(&after_session.memory().samples(), &first.memory().samples());
+
+    // And another world config.
+    video::World_config other_config = world->config();
+    other_config.seed += 1;
+    const video::World_model other_world{other_config};
+    const auto fresh = pristine->clone();
+    Adaptive_trainer elsewhere{*fresh, cfg, device::jetson_tx2()};
+    elsewhere.warm_start(other_world, 600, memo);
+    EXPECT_EQ(memo.size(), 4u);
+
+    // The deployed warm start runs once per trainer.
+    EXPECT_THROW(elsewhere.warm_start(*world, 600, memo), std::invalid_argument);
 }
 
 TEST_F(Trainer_fixture, InputReplayStoresRawFeatures) {

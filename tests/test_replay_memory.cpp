@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "bit_images.hpp"
 #include "core/replay_memory.hpp"
 
 namespace shog::core {
@@ -149,6 +150,57 @@ TEST(ReplayMemory, PreservesSamplePayload) {
     EXPECT_EQ(stored.class_label, 2u);
     EXPECT_DOUBLE_EQ(stored.box_target[3], 0.4);
     EXPECT_DOUBLE_EQ(stored.weight, 0.5);
+}
+
+using shog::testing::memory_bits;
+
+TEST(ReplayMemory, SharedBaseSurvivesUpdatesOfACopy) {
+    // Not full: the copy's append detaches it; the others keep the base.
+    Rng rng{11};
+    Replay_memory original{10};
+    original.update_after_training(tagged_batch(0.0, 6), rng);
+    original.share();
+    const std::vector<std::uint64_t> before = memory_bits(original);
+    const Replay_memory reader = original;
+    Replay_memory writer = original;
+    ASSERT_EQ(&writer.samples(), &original.samples());
+
+    writer.update_after_training(tagged_batch(100.0, 2), rng);
+    EXPECT_EQ(writer.size(), 8u);
+    EXPECT_NE(&writer.samples(), &original.samples());
+    EXPECT_EQ(memory_bits(original), before);
+    EXPECT_EQ(&reader.samples(), &original.samples());
+
+    // An empty update writes nothing, so the reader stays on the base.
+    Replay_memory idle = original;
+    idle.update_after_training({}, rng);
+    EXPECT_EQ(idle.training_runs(), 2u);
+    EXPECT_EQ(&idle.samples(), &original.samples());
+}
+
+TEST(ReplayMemory, SharedFullBaseSurvivesReplacementInACopy) {
+    // Full: the copy's Algorithm 1 replacement detaches it first.
+    Rng rng{12};
+    Replay_memory original{5};
+    original.update_after_training(tagged_batch(0.0, 5), rng);
+    ASSERT_TRUE(original.full());
+    original.share();
+    const std::vector<std::uint64_t> before = memory_bits(original);
+    const Replay_memory reader = original;
+    Replay_memory writer = original;
+
+    writer.update_after_training(tagged_batch(100.0, 5), rng); // h = 5 / 2 = 2
+    EXPECT_TRUE(writer.full());
+    EXPECT_EQ(memory_bits(original), before);
+    EXPECT_EQ(memory_bits(reader), before);
+    EXPECT_EQ(&reader.samples(), &original.samples());
+
+    // The detached copy updates exactly as an unshared memory would.
+    Rng same_rng{12};
+    Replay_memory unshared{5};
+    unshared.update_after_training(tagged_batch(0.0, 5), same_rng);
+    unshared.update_after_training(tagged_batch(100.0, 5), same_rng);
+    EXPECT_EQ(memory_bits(writer), memory_bits(unshared));
 }
 
 } // namespace

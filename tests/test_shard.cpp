@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "bit_images.hpp"
 #include "determinism_harness.hpp"
+#include "models/pretrain.hpp"
 #include "pretrained_fixture.hpp"
 #include "sim/shard.hpp"
 
@@ -74,6 +76,83 @@ TEST_F(Shard_fixture, MixedFleetWrapsDevicesOntoCameras) {
     ASSERT_EQ(fleet.specs.size(), 6u);
     for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
         EXPECT_EQ(fleet.specs[i].stream, testbed->streams[i % 4].get()) << "device " << i;
+    }
+}
+
+/// Appended as the last device, ends a run right after the start loop.
+class Stop_after_start final : public Strategy {
+public:
+    [[nodiscard]] std::string name() const override { return "stop"; }
+    void start(Edge_runtime&) override { throw std::runtime_error("start loop done"); }
+    [[nodiscard]] std::vector<detect::Detection> infer(Edge_runtime&,
+                                                       const video::Frame&) override {
+        return {};
+    }
+};
+
+using shog::testing::bits;
+using shog::testing::memory_bits;
+
+struct Warm_state {
+    std::vector<std::uint64_t> student;
+    std::vector<std::uint64_t> memory;
+};
+
+/// The warm start spelled out on a fresh pristine clone: the daytime
+/// domains, the strategy's warm_samples and seed `trainer.seed ^ 0xab`.
+Warm_state standalone_warm_start(const models::Detector& pristine,
+                                 const core::Trainer_config& trainer_config,
+                                 std::size_t samples, const video::Video_stream& stream) {
+    const auto student = pristine.clone();
+    core::Adaptive_trainer trainer{*student, trainer_config, device::v100()};
+    models::Pretrain_config warm;
+    warm.domains = models::daytime_domains();
+    warm.samples = samples;
+    warm.seed = trainer_config.seed ^ 0xab;
+    trainer.warm_start(models::synth_dataset(stream.world(), student->config(), warm));
+    return {bits(student->net().state_vector()), memory_bits(trainer.memory())};
+}
+
+TEST_F(Shard_fixture, FleetDevicesHoldTheStandaloneWarmStart) {
+    // The premise of the fleet's shared warm start: after the start loop,
+    // each Shoggoth and AMS device of a mixed fleet holds exactly what a
+    // standalone warm start on a fresh pristine clone of its camera
+    // produces, and the devices of one kind share one replay base.
+    const fleet::Fleet fleet = fleet::make_mixed_fleet(*testbed, 4, 4);
+    Stop_after_start stop;
+    std::vector<Device_spec> specs = fleet.specs;
+    specs.push_back({&stop, testbed->streams.front().get(), {}});
+    EXPECT_THROW((void)run_cluster(specs, Cluster_config{}), std::runtime_error);
+
+    const core::Shoggoth_config shoggoth_config;
+    const baselines::Ams_config ams_config;
+    const std::vector<std::uint64_t> pristine_bits = bits(testbed->pristine->net().state_vector());
+    const auto& shoggoth0 = dynamic_cast<const core::Shoggoth_strategy&>(*fleet.strategies[0]);
+    const auto& ams0 = dynamic_cast<const baselines::Ams_strategy&>(*fleet.strategies[4]);
+    for (std::size_t camera = 0; camera < 4; ++camera) {
+        const video::Video_stream& stream = *testbed->streams[camera];
+        const auto& shoggoth =
+            dynamic_cast<const core::Shoggoth_strategy&>(*fleet.strategies[camera]);
+        const Warm_state edge = standalone_warm_start(
+            *testbed->pristine, shoggoth_config.trainer, shoggoth_config.warm_samples, stream);
+        EXPECT_EQ(bits(fleet.students[camera]->net().state_vector()), edge.student)
+            << "Shoggoth device " << camera;
+        EXPECT_NE(edge.student, pristine_bits) << "the latent pass moves the front statistics";
+        EXPECT_EQ(memory_bits(shoggoth.trainer().memory()), edge.memory)
+            << "Shoggoth device " << camera;
+        EXPECT_EQ(&shoggoth.trainer().memory().samples(),
+                  &shoggoth0.trainer().memory().samples());
+
+        const auto& ams = dynamic_cast<const baselines::Ams_strategy&>(*fleet.strategies[4 + camera]);
+        const Warm_state cloud = standalone_warm_start(*testbed->pristine, ams_config.trainer,
+                                                       ams_config.warm_samples, stream);
+        EXPECT_EQ(bits(fleet.students[4 + camera]->net().state_vector()), pristine_bits)
+            << "AMS device " << camera;
+        EXPECT_EQ(cloud.student, pristine_bits) << "input replay leaves the student as is";
+        EXPECT_EQ(memory_bits(ams.cloud_trainer().memory()), cloud.memory)
+            << "AMS device " << camera;
+        EXPECT_EQ(&ams.cloud_trainer().memory().samples(),
+                  &ams0.cloud_trainer().memory().samples());
     }
 }
 
